@@ -4,7 +4,9 @@
 //!   LSTM/attention step per graph) vs. the batched engine
 //!   (`rollout_batch` / `decode_batch`: one op per step for the whole
 //!   minibatch). Reported per full batch; divide the batch size by the
-//!   time per iteration for graphs/sec.
+//!   time per iteration for graphs/sec. A zoo-scale row decodes
+//!   ResNet152 (|V| = 517) greedily, where the frontier-only attention's
+//!   `O(frontier · h)` step shows against the graph size.
 //! * **local-search cost evaluation** — full `stage_costs` re-aggregation
 //!   per proposed move vs. the `IncrementalEvaluator`'s
 //!   `O(deg(v) + k)` update, over an identical scripted move sequence.
@@ -75,6 +77,12 @@ fn bench_rollout(c: &mut Criterion) {
             let mut modes: Vec<DecodeMode> = (0..BATCH).map(|_| DecodeMode::Greedy).collect();
             black_box(policy.decode_batch(&refs, &mut modes));
         })
+    });
+    let policy = PtrNetPolicy::new(PolicyConfig::small(32));
+    let dag = models::resnet152();
+    let feats = embed(&dag, &policy.config().embedding);
+    group.bench_function(format!("greedy/resnet152/{}", dag.len()), |b| {
+        b.iter(|| black_box(policy.decode(&dag, &feats, &mut DecodeMode::Greedy)))
     });
     group.finish();
 }

@@ -29,7 +29,7 @@ use serde::{Deserialize, Serialize};
 use respect_graph::{Dag, NodeId};
 use respect_nn::attention::AttentionSpec;
 use respect_nn::lstm::LstmSpec;
-use respect_nn::tape::{masked_softmax, masked_softmax_cols, Tape, Var};
+use respect_nn::tape::{Tape, Var};
 use respect_nn::{init, Bindings, Matrix, Params};
 
 use crate::embedding::EmbeddingConfig;
@@ -217,12 +217,7 @@ impl PtrNetPolicy {
             let g = glimpse.glimpse(tape, context, proj_g, state.h, mask.as_slice());
             let scores = pointer.scores(tape, proj_p, g);
             let logp = tape.log_softmax_masked(scores, mask.as_slice());
-            let idx = match mode {
-                DecodeMode::Greedy => argmax_unmasked_col(tape.value(logp), 0, mask.as_slice()),
-                DecodeMode::Sample(rng) => {
-                    sample_unmasked_col(tape.value(logp), 0, mask.as_slice(), rng)
-                }
-            };
+            let idx = pick_logp(mode, tape.value(logp), 0, &mask.ready);
             let lp = tape.pick(logp, idx);
             log_prob_total = Some(match log_prob_total {
                 None => lp,
@@ -324,13 +319,8 @@ impl PtrNetPolicy {
             let scores = pointer.scores_batch(tape, proj_p, g, n);
             let logp = tape.log_softmax_masked_cols(scores, &flat_masks);
             let mut choices = Vec::with_capacity(b);
-            for (g, mode) in modes.iter_mut().enumerate() {
-                let mask = &flat_masks[g * n..(g + 1) * n];
-                let idx = match mode {
-                    DecodeMode::Greedy => argmax_unmasked_col(tape.value(logp), g, mask),
-                    DecodeMode::Sample(rng) => sample_unmasked_col(tape.value(logp), g, mask, rng),
-                };
-                choices.push(idx);
+            for (g, (mode, mask)) in modes.iter_mut().zip(&masks).enumerate() {
+                choices.push(pick_logp(mode, tape.value(logp), g, &mask.ready));
             }
             let lp = tape.pick_cols(logp, &choices); // [1, B]
             log_prob_total = Some(match log_prob_total {
@@ -352,74 +342,21 @@ impl PtrNetPolicy {
         }
     }
 
-    /// Gradient-free greedy/sampled decode for deployment (fast path).
+    /// Gradient-free greedy/sampled decode for deployment (fast path): the
+    /// one-lane call of [`decode_batch`](PtrNetPolicy::decode_batch).
     pub fn decode(&self, dag: &Dag, features: &Matrix, mode: &mut DecodeMode) -> Vec<NodeId> {
-        let n = dag.len();
-        let h = self.config.hidden;
-        let p = |name: &str| self.params.get(name).expect("registered weight");
-        let proj = p("proj.w").matmul(features); // [h, n]
-
-        // encoder
-        let w_enc = p("enc.w");
-        let b_enc = p("enc.b");
-        let mut hx = Matrix::zeros(h, 1);
-        let mut cx = Matrix::zeros(h, 1);
-        let mut context = Matrix::zeros(h, n);
-        for i in 0..n {
-            let x = column(&proj, i);
-            let (nh, nc) = lstm_step_raw(w_enc, b_enc, &x, &hx, &cx, h);
-            for r in 0..h {
-                context.set(r, i, nh.get(r, 0));
-            }
-            hx = nh;
-            cx = nc;
-        }
-        let g_ref = p("glimpse.w_ref").matmul(&context);
-        let p_ref = p("pointer.w_ref").matmul(&context);
-
-        // decoder
-        let w_dec = p("dec.w");
-        let b_dec = p("dec.b");
-        let mut mask = self.mask_init(dag);
-        let mut d = p("dec0").clone();
-        let mut sequence = Vec::with_capacity(n);
-        for _ in 0..n {
-            let (nh, nc) = lstm_step_raw(w_dec, b_dec, &d, &hx, &cx, h);
-            hx = nh;
-            cx = nc;
-            // glimpse
-            let gu = attention_scores_raw(
-                &g_ref,
-                p("glimpse.w_q"),
-                p("glimpse.v"),
-                p("glimpse.b"),
-                &hx,
-            );
-            let gprobs = masked_softmax(&gu, mask.as_slice());
-            let g = context.matmul(&gprobs);
-            // pointer
-            let u =
-                attention_scores_raw(&p_ref, p("pointer.w_q"), p("pointer.v"), p("pointer.b"), &g);
-            let idx = match mode {
-                DecodeMode::Greedy => argmax_unmasked_col(&u, 0, mask.as_slice()),
-                DecodeMode::Sample(rng) => {
-                    let probs = masked_softmax(&u, mask.as_slice());
-                    sample_probs_col(&probs, 0, mask.as_slice(), rng)
-                }
-            };
-            let v = NodeId(idx as u32);
-            sequence.push(v);
-            mask.emit(dag, v);
-            d = column(&proj, idx);
-        }
-        sequence
+        let mut lanes = self.decode_batch(&[(dag, features)], std::slice::from_mut(mode));
+        lanes.pop().expect("one lane")
     }
 
-    /// Gradient-free **batched** decode: `B` equal-sized graphs run in
-    /// lock step with one kernel call per decoding step. Per-graph results
-    /// match `B` serial [`decode`](PtrNetPolicy::decode) calls with the
-    /// same modes; use this for deployment-time throughput and for the
-    /// greedy-rollout baseline during training.
+    /// Gradient-free **batched** decode: `B` equal-sized graphs run in lock
+    /// step, sharing each step's LSTM and attention-query matmuls. Both
+    /// attentions score only a lane's ready frontier (its unmasked nodes in
+    /// ascending order): a masked node's softmax weight is exactly `0.0`, so
+    /// skipping it leaves every glimpse, score and choice bit-identical to
+    /// attending over all `n` nodes, at `O(frontier · h)` per step instead of
+    /// `O(n · h)`. Per-graph results match `B` serial
+    /// [`decode`](PtrNetPolicy::decode) calls with the same modes.
     ///
     /// # Panics
     ///
@@ -442,88 +379,62 @@ impl PtrNetPolicy {
         }
         let h = self.config.hidden;
         let p = |name: &str| self.params.get(name).expect("registered weight");
+        let (w_enc, b_enc, w_dec, b_dec) = (p("enc.w"), p("enc.b"), p("dec.w"), p("dec.b"));
+        let glimpse = RawAttention::new(&self.params, "glimpse");
+        let pointer = RawAttention::new(&self.params, "pointer");
 
-        let mut stacked = Matrix::zeros(feat, b * n);
-        for (g, (_, features)) in items.iter().enumerate() {
-            for r in 0..feat {
-                for i in 0..n {
-                    stacked.set(r, g * n + i, features.get(r, i));
-                }
-            }
-        }
-        let proj = p("proj.w").matmul(&stacked); // [h, B*n]
+        // lanes side by side (lane g owns columns g*n..(g+1)*n), projected at once
+        let stacked: Vec<f32> = items
+            .iter()
+            .flat_map(|(_, f)| f.transpose().into_vec())
+            .collect();
+        let proj = p("proj.w").matmul(&Matrix::from_vec(b * n, feat, stacked).transpose());
 
-        // encoder, all graphs in lock step
-        let w_enc = p("enc.w");
-        let b_enc = p("enc.b");
-        let mut hx = Matrix::zeros(h, b);
-        let mut cx = Matrix::zeros(h, b);
-        let mut context = Matrix::zeros(h, b * n);
+        // encoder, all graphs in lock step; the context is kept node-major
+        // ([B*n, h], row g*n + i) so each candidate's entries are contiguous
+        let (mut hx, mut cx) = (Matrix::zeros(h, b), Matrix::zeros(h, b));
+        let mut context = Matrix::zeros(b * n, h);
         for t in 0..n {
             let cols: Vec<usize> = (0..b).map(|g| g * n + t).collect();
-            let x = proj.gather_cols(&cols);
-            let (nh, nc) = lstm_step_raw(w_enc, b_enc, &x, &hx, &cx, h);
+            (hx, cx) = lstm_step_raw(w_enc, b_enc, &proj.gather_cols(&cols), &hx, &cx, h);
+            let lanes = hx.transpose();
             for g in 0..b {
-                for r in 0..h {
-                    context.set(r, g * n + t, nh.get(r, g));
-                }
+                context.as_mut_slice()[(g * n + t) * h..][..h].copy_from_slice(row(&lanes, g));
             }
-            hx = nh;
-            cx = nc;
         }
-        let g_ref = p("glimpse.w_ref").matmul(&context);
-        let p_ref = p("pointer.w_ref").matmul(&context);
+        // `context @ w_refᵀ` is `(w_ref @ context)ᵀ` bit for bit: the same
+        // products, summed in the same order
+        let g_ref = context.matmul_tb(glimpse.w_ref);
+        let p_ref = context.matmul_tb(pointer.w_ref);
 
         // decoder
-        let w_dec = p("dec.w");
-        let b_dec = p("dec.b");
         let mut masks: Vec<MaskState> = items.iter().map(|(dag, _)| self.mask_init(dag)).collect();
-        let dec0 = p("dec0");
-        let mut d = Matrix::zeros(h, b);
-        for g in 0..b {
-            for r in 0..h {
-                d.set(r, g, dec0.get(r, 0));
-            }
-        }
+        let mut d = p("dec0").gather_cols(&vec![0; b]);
         let mut sequences = vec![Vec::with_capacity(n); b];
-        let mut flat_masks = vec![false; b * n];
+        let mut gl = Matrix::zeros(b, h); // glimpses, lane-major
+        let mut scores = Vec::with_capacity(n);
         for _ in 0..n {
-            let (nh, nc) = lstm_step_raw(w_dec, b_dec, &d, &hx, &cx, h);
-            hx = nh;
-            cx = nc;
+            (hx, cx) = lstm_step_raw(w_dec, b_dec, &d, &hx, &cx, h);
+            // glimpse: the softmax-weighted mix of the frontier's contexts
+            let q = glimpse.query(&hx.transpose());
             for (g, mask) in masks.iter().enumerate() {
-                flat_masks[g * n..(g + 1) * n].copy_from_slice(mask.as_slice());
+                glimpse.frontier_scores(&g_ref, &q, g, &mask.ready, &mut scores);
+                softmax(&mut scores);
+                let mix = &mut gl.as_mut_slice()[g * h..(g + 1) * h];
+                mix.fill(0.0);
+                for (&i, &w) in mask.ready.iter().zip(&scores) {
+                    for (m, &c) in mix.iter_mut().zip(row(&context, g * n + i)) {
+                        *m += c * w;
+                    }
+                }
             }
-            // glimpse
-            let gu = attention_scores_raw(
-                &g_ref,
-                p("glimpse.w_q"),
-                p("glimpse.v"),
-                p("glimpse.b"),
-                &hx,
-            );
-            let gprobs = masked_softmax_cols(&gu, &flat_masks);
-            let gl = context.block_matvec(&gprobs);
             // pointer
-            let u = attention_scores_raw(
-                &p_ref,
-                p("pointer.w_q"),
-                p("pointer.v"),
-                p("pointer.b"),
-                &gl,
-            );
+            let q = pointer.query(&gl);
             let mut next_cols = Vec::with_capacity(b);
             for (g, mode) in modes.iter_mut().enumerate() {
-                let mask = &flat_masks[g * n..(g + 1) * n];
-                let idx = match mode {
-                    DecodeMode::Greedy => argmax_unmasked_col(&u, g, mask),
-                    DecodeMode::Sample(rng) => {
-                        // softmax of lane g only (bitwise-equal to the
-                        // per-column batched softmax)
-                        let probs = masked_softmax(&column(&u, g), mask);
-                        sample_probs_col(&probs, 0, mask, rng)
-                    }
-                };
+                let ready = &masks[g].ready;
+                pointer.frontier_scores(&p_ref, &q, g, ready, &mut scores);
+                let idx = ready[mode.pick(&mut scores, softmax)];
                 let v = NodeId(idx as u32);
                 sequences[g].push(v);
                 masks[g].emit(items[g].0, v);
@@ -536,19 +447,21 @@ impl PtrNetPolicy {
 }
 
 /// Visited/ready mask bookkeeping shared by both decode paths.
-/// `masked[i] = visited[i] || (dependency && pending_parents[i] > 0)`.
+/// `masked[i] = visited[i] || (dependency && pending_parents[i] > 0)`, and
+/// `ready` lists the unmasked nodes in ascending index order.
 #[derive(Debug)]
 struct MaskState {
     visited: Vec<bool>,
     pending_parents: Vec<usize>,
     dependency: bool,
     masked: Vec<bool>,
+    ready: Vec<usize>,
 }
 
 impl MaskState {
     fn new(dag: &Dag, dependency: bool) -> Self {
         let pending: Vec<usize> = dag.node_ids().map(|v| dag.in_degree(v)).collect();
-        let masked = if dependency {
+        let masked: Vec<bool> = if dependency {
             pending.iter().map(|&d| d > 0).collect()
         } else {
             vec![false; dag.len()]
@@ -557,6 +470,7 @@ impl MaskState {
             visited: vec![false; dag.len()],
             pending_parents: pending,
             dependency,
+            ready: (0..dag.len()).filter(|&i| !masked[i]).collect(),
             masked,
         }
     }
@@ -568,23 +482,71 @@ impl MaskState {
     fn emit(&mut self, dag: &Dag, v: NodeId) {
         self.visited[v.index()] = true;
         self.masked[v.index()] = true;
+        self.ready.retain(|&i| i != v.index());
         if self.dependency {
             for &s in dag.succs(v) {
                 self.pending_parents[s.index()] -= 1;
                 if self.pending_parents[s.index()] == 0 && !self.visited[s.index()] {
                     self.masked[s.index()] = false;
+                    let slot = self.ready.partition_point(|&i| i < s.index());
+                    self.ready.insert(slot, s.index());
                 }
             }
         }
     }
 }
 
-fn column(m: &Matrix, i: usize) -> Matrix {
-    let mut out = Matrix::zeros(m.rows(), 1);
-    for r in 0..m.rows() {
-        out.set(r, 0, m.get(r, i));
+impl DecodeMode {
+    /// Picks a position in `values`, the candidates' scores in ascending
+    /// node order: the first maximum when greedy, else a draw from the
+    /// probabilities `to_probs` turns them into.
+    fn pick(&mut self, values: &mut [f32], to_probs: fn(&mut [f32])) -> usize {
+        assert!(!values.is_empty(), "at least one unmasked candidate");
+        match self {
+            DecodeMode::Greedy => {
+                (0..values.len()).fold(0, |best, k| if values[k] > values[best] { k } else { best })
+            }
+            DecodeMode::Sample(rng) => {
+                to_probs(values);
+                let total: f32 = values.iter().sum();
+                let mut r = rng.gen_range(0.0..1.0f32) * total;
+                for (k, &p) in values.iter().enumerate() {
+                    r -= p;
+                    if r <= 0.0 {
+                        return k;
+                    }
+                }
+                values.len() - 1
+            }
+        }
     }
-    out
+}
+
+/// Picks among the candidates `ready` by their normalized log-probabilities
+/// in column `col` of `logp` (the tape rollouts' choice).
+fn pick_logp(mode: &mut DecodeMode, logp: &Matrix, col: usize, ready: &[usize]) -> usize {
+    let mut values: Vec<f32> = ready.iter().map(|&i| logp.get(i, col)).collect();
+    ready[mode.pick(&mut values, |lp| lp.iter_mut().for_each(|x| *x = x.exp()))]
+}
+
+/// In-place softmax of candidate scores, reduced in slice order: bit for
+/// bit [`masked_softmax`](respect_nn::tape::masked_softmax)'s values at the
+/// same unmasked entries.
+fn softmax(x: &mut [f32]) {
+    let mx = x.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+    let mut z = 0.0f32;
+    for e in x.iter_mut() {
+        *e = (*e - mx).exp();
+        z += *e;
+    }
+    for e in x.iter_mut() {
+        *e /= z;
+    }
+}
+
+/// Row `i` of a row-major matrix.
+fn row(m: &Matrix, i: usize) -> &[f32] {
+    &m.as_slice()[i * m.cols()..(i + 1) * m.cols()]
 }
 
 /// One raw LSTM step over `B` lanes (`x`, `h`, `c` are `[·, B]`; the bias
@@ -598,17 +560,9 @@ fn lstm_step_raw(
     hidden: usize,
 ) -> (Matrix, Matrix) {
     let cols = x.cols();
-    let mut xin = Matrix::zeros(x.rows() + h.rows(), cols);
-    for r in 0..x.rows() {
-        for cc in 0..cols {
-            xin.set(r, cc, x.get(r, cc));
-        }
-    }
-    for r in 0..h.rows() {
-        for cc in 0..cols {
-            xin.set(x.rows() + r, cc, h.get(r, cc));
-        }
-    }
+    // row-major, so stacking `x` over `h` concatenates their data
+    let data = [x.as_slice(), h.as_slice()].concat();
+    let xin = Matrix::from_vec(x.rows() + h.rows(), cols, data);
     let mut z = w.matmul(&xin);
     for r in 0..z.rows() {
         let bv = b.get(r, 0);
@@ -633,119 +587,197 @@ fn lstm_step_raw(
     (nh, nc)
 }
 
-/// Additive-attention scores over `B` stacked context blocks: `projected`
-/// is `[h, B*n]` graph-major, `q` is one query column per graph, and the
-/// result is `[n, B]`. With `B = 1` this is the serial scores kernel.
-fn attention_scores_raw(
-    projected: &Matrix,
-    w_q: &Matrix,
-    v: &Matrix,
-    b: &Matrix,
-    q: &Matrix,
-) -> Matrix {
-    let bsz = q.cols();
-    let n = projected.cols() / bsz;
-    let mut qp = w_q.matmul(q);
-    for r in 0..qp.rows() {
-        let bv = b.get(r, 0);
-        for g in 0..bsz {
-            qp.set(r, g, qp.get(r, g) + bv);
+/// One additive-attention head's weights, looked up once per decode call.
+struct RawAttention<'a> {
+    w_ref: &'a Matrix,
+    w_q: &'a Matrix,
+    v: &'a Matrix,
+    b: &'a Matrix,
+}
+
+impl<'a> RawAttention<'a> {
+    fn new(params: &'a Params, head: &str) -> Self {
+        let name = |w: &str| format!("{head}.{w}");
+        let p = |w: &str| params.get(&name(w)).expect("registered weight");
+        RawAttention {
+            w_ref: p("w_ref"),
+            w_q: p("w_q"),
+            v: p("v"),
+            b: p("b"),
         }
     }
-    let h = projected.rows();
-    let mut scores = Matrix::zeros(n, bsz);
-    let proj = projected.as_slice();
-    // row-major sweep: contiguous access to each projection row
-    for r in 0..h {
-        let vr = v.get(r, 0);
-        for g in 0..bsz {
-            let qpr = qp.get(r, g);
-            let row = &proj[r * (n * bsz) + g * n..r * (n * bsz) + (g + 1) * n];
-            for (i, &p) in row.iter().enumerate() {
-                let cur = scores.get(i, g);
-                scores.set(i, g, cur + vr * (p + qpr).tanh());
+
+    /// The projected queries `w_q @ q + b` for lane-major queries `q`
+    /// (`[B, h]`, one row per lane); `q @ w_qᵀ` is `(w_q @ qᵀ)ᵀ` bit for bit.
+    fn query(&self, q: &Matrix) -> Matrix {
+        let mut qp = q.matmul_tb(self.w_q);
+        for row in qp.as_mut_slice().chunks_mut(self.b.len()) {
+            for (x, &bv) in row.iter_mut().zip(self.b.as_slice()) {
+                *x += bv;
             }
         }
+        qp
     }
-    scores
-}
 
-fn argmax_unmasked_col(logits: &Matrix, col: usize, mask: &[bool]) -> usize {
-    assert_eq!(mask.len(), logits.rows(), "mask length");
-    let mut best = None;
-    for (i, &masked) in mask.iter().enumerate() {
-        if masked {
-            continue;
-        }
-        let v = logits.get(i, col);
-        match best {
-            None => best = Some((i, v)),
-            Some((_, bv)) if v > bv => best = Some((i, v)),
-            _ => {}
-        }
-    }
-    best.expect("at least one unmasked candidate").0
-}
-
-fn sample_unmasked_col(logp: &Matrix, col: usize, mask: &[bool], rng: &mut StdRng) -> usize {
-    assert_eq!(mask.len(), logp.rows(), "mask length");
-    // logp already normalized: exponentiate the unmasked entries
-    let mut probs = Matrix::zeros(logp.rows(), 1);
-    for (i, &masked) in mask.iter().enumerate() {
-        if !masked {
-            probs.set(i, 0, logp.get(i, col).exp());
+    /// Writes `u_i = Σ_r v_r · tanh(refs[g*n + i, r] + q[g, r])`, summed in
+    /// ascending `r`, for each candidate `i` in `ready` of lane `g` into
+    /// `out`. `refs` is the node-major projected context (`[B*n, h]`), `q`
+    /// the lane-major queries (`[B, h]`).
+    fn frontier_scores(
+        &self,
+        refs: &Matrix,
+        q: &Matrix,
+        g: usize,
+        ready: &[usize],
+        out: &mut Vec<f32>,
+    ) {
+        let (n, q, v) = (refs.rows() / q.rows(), row(q, g), self.v.as_slice());
+        out.clear();
+        for &i in ready {
+            let mut acc = 0.0f32;
+            for ((&p, &qr), &vr) in row(refs, g * n + i).iter().zip(q).zip(v) {
+                acc += vr * (p + qr).tanh();
+            }
+            out.push(acc);
         }
     }
-    sample_probs_col(&probs, 0, mask, rng)
-}
-
-fn sample_probs_col(probs: &Matrix, col: usize, mask: &[bool], rng: &mut StdRng) -> usize {
-    assert_eq!(mask.len(), probs.rows(), "mask length");
-    let total: f32 = mask
-        .iter()
-        .enumerate()
-        .filter(|&(_, &m)| !m)
-        .map(|(i, _)| probs.get(i, col))
-        .sum();
-    let mut r = rng.gen_range(0.0..1.0f32) * total;
-    let mut last = None;
-    for (i, &masked) in mask.iter().enumerate() {
-        if masked {
-            continue;
-        }
-        last = Some(i);
-        r -= probs.get(i, col);
-        if r <= 0.0 {
-            return i;
-        }
-    }
-    last.expect("at least one unmasked candidate")
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::embedding::{embed, EmbeddingConfig};
+    use respect_graph::models::{densenet121, inception_resnet_v2, resnet50, xception};
     use respect_graph::{topo, SyntheticConfig, SyntheticSampler};
+    use respect_nn::tape::masked_softmax;
 
-    fn fixture() -> (PtrNetPolicy, respect_graph::Dag, Matrix) {
-        let config = PolicyConfig {
+    fn test_policy() -> PtrNetPolicy {
+        PtrNetPolicy::new(PolicyConfig {
             hidden: 16,
             embedding: EmbeddingConfig { max_parents: 2 },
             dependency_masking: true,
             seed: 11,
+        })
+    }
+
+    fn synthetic(num_nodes: usize, deg: usize, seed: u64) -> Dag {
+        let config = SyntheticConfig {
+            num_nodes,
+            ..SyntheticConfig::paper(deg)
         };
-        let policy = PtrNetPolicy::new(config);
-        let dag = SyntheticSampler::new(
-            SyntheticConfig {
-                num_nodes: 10,
-                ..SyntheticConfig::paper(2)
-            },
-            5,
-        )
-        .sample();
-        let feats = embed(&dag, &config.embedding);
+        SyntheticSampler::new(config, seed).sample()
+    }
+
+    fn fixture() -> (PtrNetPolicy, Dag, Matrix) {
+        let policy = test_policy();
+        let dag = synthetic(10, 2, 5);
+        let feats = embed(&dag, &policy.config.embedding);
         (policy, dag, feats)
+    }
+
+    /// The dense decode the frontier-only kernel replaced: both attentions
+    /// score all `n` nodes, masked ones included, and softmaxes run over the
+    /// mask. The differential tests pin `decode` and `decode_batch` to it.
+    fn dense_decode(
+        policy: &PtrNetPolicy,
+        dag: &Dag,
+        feats: &Matrix,
+        mode: &mut DecodeMode,
+    ) -> Vec<NodeId> {
+        let (n, h) = (dag.len(), policy.config.hidden);
+        let p = |name: &str| policy.params.get(name).expect("registered weight");
+        let proj = p("proj.w").matmul(feats); // [h, n]
+        let (mut hx, mut cx) = (Matrix::zeros(h, 1), Matrix::zeros(h, 1));
+        let mut context = Matrix::zeros(h, n);
+        for i in 0..n {
+            let (nh, nc) =
+                lstm_step_raw(p("enc.w"), p("enc.b"), &proj.gather_cols(&[i]), &hx, &cx, h);
+            for r in 0..h {
+                context.set(r, i, nh.get(r, 0));
+            }
+            (hx, cx) = (nh, nc);
+        }
+        let attend = |head: &str, q: &Matrix| {
+            let refs = p(&format!("{head}.w_ref")).matmul(&context);
+            let qp = p(&format!("{head}.w_q")).matmul(q);
+            let (v, b) = (p(&format!("{head}.v")), p(&format!("{head}.b")));
+            let mut u = Matrix::zeros(n, 1);
+            for r in 0..h {
+                for i in 0..n {
+                    let t = (refs.get(r, i) + (qp.get(r, 0) + b.get(r, 0))).tanh();
+                    u.set(i, 0, u.get(i, 0) + v.get(r, 0) * t);
+                }
+            }
+            u
+        };
+        let mut mask = policy.mask_init(dag);
+        let mut d = p("dec0").clone();
+        let mut sequence = Vec::with_capacity(n);
+        for _ in 0..n {
+            (hx, cx) = lstm_step_raw(p("dec.w"), p("dec.b"), &d, &hx, &cx, h);
+            let gprobs = masked_softmax(&attend("glimpse", &hx), mask.as_slice());
+            let mut u = attend("pointer", &context.matmul(&gprobs));
+            if let DecodeMode::Sample(_) = mode {
+                u = masked_softmax(&u, mask.as_slice());
+            }
+            let open: Vec<usize> = (0..n).filter(|&i| !mask.as_slice()[i]).collect();
+            let mut values: Vec<f32> = open.iter().map(|&i| u.get(i, 0)).collect();
+            let v = NodeId(open[mode.pick(&mut values, |_| {})] as u32);
+            sequence.push(v);
+            mask.emit(dag, v);
+            d = proj.gather_cols(&[v.index()]);
+        }
+        sequence
+    }
+
+    /// Asserts single-lane and batched decode reproduce [`dense_decode`]
+    /// on `dags` (batched in one call) for every mode `mode(lane)` yields.
+    fn assert_matches_dense(
+        policy: &PtrNetPolicy,
+        dags: &[Dag],
+        mode: impl Fn(usize) -> DecodeMode,
+    ) {
+        let emb = policy.config.embedding;
+        let feats: Vec<Matrix> = dags.iter().map(|d| embed(d, &emb)).collect();
+        let refs: Vec<(&Dag, &Matrix)> = dags.iter().zip(&feats).collect();
+        let mut modes: Vec<DecodeMode> = (0..dags.len()).map(&mode).collect();
+        let batched = policy.decode_batch(&refs, &mut modes);
+        for (g, (dag, f)) in refs.iter().enumerate() {
+            let dense = dense_decode(policy, dag, f, &mut mode(g));
+            assert_eq!(policy.decode(dag, f, &mut mode(g)), dense, "lane {g}");
+            assert_eq!(batched[g], dense, "batched lane {g}");
+        }
+    }
+
+    #[test]
+    fn frontier_decode_matches_dense_decode_on_synthetic_graphs() {
+        let (policy, _, _) = fixture();
+        for dependency_masking in [true, false] {
+            let config = PolicyConfig {
+                dependency_masking,
+                ..policy.config
+            };
+            let policy = PtrNetPolicy::from_parts(config, policy.params.clone());
+            for (k, num_nodes) in [10, 23, 64, 200].into_iter().enumerate() {
+                let dags: Vec<Dag> = (0..3)
+                    .map(|lane| synthetic(num_nodes, 2 + (k + lane) % 5, (100 * k + lane) as u64))
+                    .collect();
+                assert_matches_dense(&policy, &dags, |_| DecodeMode::Greedy);
+                for seed in [1u64, 2, 3] {
+                    assert_matches_dense(&policy, &dags, |g| {
+                        DecodeMode::sample_seeded(seed * 31 + g as u64)
+                    });
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn frontier_decode_matches_dense_decode_on_zoo_models() {
+        let (policy, _, _) = fixture();
+        for dag in [xception(), resnet50(), densenet121(), inception_resnet_v2()] {
+            assert_matches_dense(&policy, &[dag], |_| DecodeMode::Greedy);
+        }
     }
 
     #[test]
@@ -808,38 +840,18 @@ mod tests {
     #[test]
     fn generalizes_to_larger_graphs_than_trained_shape() {
         let (policy, _, _) = fixture();
-        let big = SyntheticSampler::new(
-            SyntheticConfig {
-                num_nodes: 60,
-                ..SyntheticConfig::paper(3)
-            },
-            9,
-        )
-        .sample();
+        let big = synthetic(60, 3, 9);
         let feats = embed(&big, &policy.config().embedding);
         let seq = policy.decode(&big, &feats, &mut DecodeMode::Greedy);
         assert!(topo::is_topological_order(&big, &seq));
     }
 
-    fn batch_fixture(count: usize) -> (PtrNetPolicy, Vec<(respect_graph::Dag, Matrix)>) {
-        let config = PolicyConfig {
-            hidden: 16,
-            embedding: EmbeddingConfig { max_parents: 2 },
-            dependency_masking: true,
-            seed: 11,
-        };
-        let policy = PtrNetPolicy::new(config);
-        let items: Vec<_> = (0..count)
+    fn batch_fixture(count: usize) -> (PtrNetPolicy, Vec<(Dag, Matrix)>) {
+        let policy = test_policy();
+        let items = (0..count)
             .map(|i| {
-                let dag = SyntheticSampler::new(
-                    SyntheticConfig {
-                        num_nodes: 10,
-                        ..SyntheticConfig::paper(2 + i % 3)
-                    },
-                    40 + i as u64,
-                )
-                .sample();
-                let feats = embed(&dag, &config.embedding);
+                let dag = synthetic(10, 2 + i % 3, 40 + i as u64);
+                let feats = embed(&dag, &policy.config.embedding);
                 (dag, feats)
             })
             .collect();
@@ -849,29 +861,17 @@ mod tests {
     #[test]
     fn decode_batch_matches_serial_decode() {
         let (policy, items) = batch_fixture(4);
-        let refs: Vec<(&respect_graph::Dag, &Matrix)> = items.iter().map(|(d, f)| (d, f)).collect();
-        // greedy
-        let mut modes: Vec<DecodeMode> = (0..4).map(|_| DecodeMode::Greedy).collect();
-        let batched = policy.decode_batch(&refs, &mut modes);
-        for (g, (dag, feats)) in items.iter().enumerate() {
-            let serial = policy.decode(dag, feats, &mut DecodeMode::Greedy);
-            assert_eq!(batched[g], serial, "greedy lane {g}");
-        }
-        // sampled, per-graph seeds
-        let mut modes: Vec<DecodeMode> = (0..4)
-            .map(|g| DecodeMode::sample_seeded(100 + g as u64))
-            .collect();
-        let batched = policy.decode_batch(&refs, &mut modes);
-        for (g, (dag, feats)) in items.iter().enumerate() {
-            let serial = policy.decode(dag, feats, &mut DecodeMode::sample_seeded(100 + g as u64));
-            assert_eq!(batched[g], serial, "sampled lane {g}");
-        }
+        let dags: Vec<Dag> = items.into_iter().map(|(dag, _)| dag).collect();
+        assert_matches_dense(&policy, &dags, |_| DecodeMode::Greedy);
+        assert_matches_dense(&policy, &dags, |g| {
+            DecodeMode::sample_seeded(100 + g as u64)
+        });
     }
 
     #[test]
     fn rollout_batch_matches_serial_rollout() {
         let (policy, items) = batch_fixture(3);
-        let refs: Vec<(&respect_graph::Dag, &Matrix)> = items.iter().map(|(d, f)| (d, f)).collect();
+        let refs: Vec<(&Dag, &Matrix)> = items.iter().map(|(d, f)| (d, f)).collect();
         let mut modes: Vec<DecodeMode> = (0..3)
             .map(|g| DecodeMode::sample_seeded(7 + g as u64))
             .collect();
@@ -903,7 +903,7 @@ mod tests {
     #[test]
     fn rollout_batch_gradients_flow() {
         let (policy, items) = batch_fixture(2);
-        let refs: Vec<(&respect_graph::Dag, &Matrix)> = items.iter().map(|(d, f)| (d, f)).collect();
+        let refs: Vec<(&Dag, &Matrix)> = items.iter().map(|(d, f)| (d, f)).collect();
         let mut modes: Vec<DecodeMode> = (0..2).map(|_| DecodeMode::Greedy).collect();
         let mut tape = Tape::new();
         let bindings = policy.bind(&mut tape);

@@ -735,8 +735,7 @@ impl Tape {
     }
 }
 
-/// Masked softmax over a column vector (shared by the tape op and by
-/// gradient-free inference paths).
+/// Masked softmax over a column vector (the tape op's forward kernel).
 ///
 /// # Panics
 ///
@@ -767,7 +766,7 @@ pub fn masked_softmax(x: &Matrix, mask: &[bool]) -> Matrix {
 
 /// Per-column masked softmax over `[n, B]` (`masks[g*n + i]` masks row `i`
 /// of column `g`); each column matches [`masked_softmax`] bit for bit.
-/// Shared by the tape op and gradient-free batched inference.
+/// The batched tape op's forward kernel.
 ///
 /// # Panics
 ///

@@ -16,7 +16,10 @@
 //!   that cannot beat the incumbent;
 //! * the incumbent starts at the packing-DP solution (optionally tightened
 //!   by simulated annealing), so the search only explores strictly
-//!   improving regions.
+//!   improving regions;
+//! * boundaries are expanded by bottleneck, ties broken by [`NodeSet`]
+//!   order, so a solve (schedule, objective and state count) repeats
+//!   exactly.
 //!
 //! The result is provably optimal unless the optional time budget expires,
 //! in which case the incumbent is returned with
@@ -36,8 +39,9 @@ use crate::pack;
 use crate::schedule::{Schedule, ScheduleError};
 use crate::Scheduler;
 
-/// Dense bitset over node ids.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+/// Dense bitset over node ids. The derived order compares the words
+/// lexicographically; the solver uses it only as a deterministic tie-break.
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NodeSet {
     words: Box<[u64]>,
 }
@@ -265,8 +269,13 @@ impl ExactScheduler {
         'stages: for k in 1..=num_stages {
             let mut next: HashMap<NodeSet, Entry> = HashMap::new();
             let mut boundaries: Vec<(&NodeSet, &Entry)> = frontier.iter().collect();
-            // expand promising boundaries first so ub tightens early
-            boundaries.sort_by(|a, b| a.1.bottleneck.partial_cmp(&b.1.bottleneck).expect("finite"));
+            // expand promising boundaries first so ub tightens early; ties
+            // break by boundary (descending), not by hash-map iteration order,
+            // so a solve repeats exactly
+            boundaries.sort_by(|a, b| {
+                let by_bottleneck = a.1.bottleneck.partial_cmp(&b.1.bottleneck);
+                by_bottleneck.expect("finite").then_with(|| b.0.cmp(a.0))
+            });
             for (boundary, entry) in boundaries {
                 if entry.bottleneck >= ub {
                     continue;
@@ -655,6 +664,25 @@ mod tests {
             let sol = solver.solve(&dag, 4).unwrap();
             assert!(sol.proven_optimal, "deg {deg}");
             assert!(sol.schedule.is_valid(&dag));
+        }
+    }
+
+    #[test]
+    fn repeated_solves_are_bitwise_identical() {
+        // teacher-style instances: bottleneck ties between frontier
+        // boundaries are common, and each solve's maps hash differently
+        let solver = ExactScheduler::new(CostModel::coral()).with_warmstart_moves(200);
+        for seed in 0..60u64 {
+            let cfg = SyntheticConfig {
+                num_nodes: 20,
+                ..SyntheticConfig::paper(2 + seed as usize % 5)
+            };
+            let dag = SyntheticSampler::new(cfg, seed).sample();
+            let a = solver.solve(&dag, 4).unwrap();
+            let b = solver.solve(&dag, 4).unwrap();
+            assert_eq!(a.schedule, b.schedule, "seed {seed}: schedule");
+            assert_eq!(a.objective.to_bits(), b.objective.to_bits(), "seed {seed}");
+            assert_eq!(a.states_explored, b.states_explored, "seed {seed}: states");
         }
     }
 }
