@@ -1,17 +1,15 @@
 //! The per-chain serving engine: one device chain's queues, batcher,
 //! admission, drift/repartition bookkeeping, and resource semantics,
-//! extracted from the single-chain runtime so a *fleet* of chains can
-//! share one deterministic event loop.
+//! so a *fleet* of chains can share one deterministic event loop.
 //!
 //! A [`ChainEngine`] owns everything that used to assume "the chain is
 //! the world": the devices and their FIFO queues, the (optional) shared
 //! USB bus, per-tenant open batches, in-flight job slabs, timing
 //! caches, and drift windows. What it does *not* own is the clock, the
 //! pending-event set, or per-request bookkeeping (arrival/completion
-//! times, admitted order) — those belong to a **driver**: the
-//! single-chain driver in [`crate::runtime`] and the fleet driver in
-//! [`crate::fleet`] both run the same engine, which is what makes the
-//! "1-chain fleet ≡ `serve`" differential pin meaningful.
+//! times, admitted order) — those belong to the **driver** in
+//! [`crate::fleet`], which runs one engine per chain; the single-chain
+//! runtime [`crate::runtime::serve`] is that driver over one chain.
 //!
 //! Events are packed (`u32`/`u16` payloads, as the raw engine's
 //! PR 6-style slab machinery) and tagged with the chain index, so fleet
@@ -34,8 +32,7 @@ use respect_tpu::device::DeviceSpec;
 use respect_tpu::event_queue::EventQueue;
 use respect_tpu::mem::{InlineVec, Slab, SmallQueue};
 use respect_tpu::probe::{
-    BusSnapshot, ChainSnapshot, DeviceSnapshot, EngineInspect, EngineKind, EngineSnapshot, Probe,
-    ProbeEvent, ShedReason, TenantSnapshot,
+    BusSnapshot, ChainSnapshot, DeviceSnapshot, Probe, ProbeEvent, ShedReason, TenantSnapshot,
 };
 use respect_tpu::sim::{self, ArrivalSampler, ResourceId};
 use respect_tpu::usb;
@@ -43,7 +40,7 @@ use respect_tpu::usb;
 use crate::drift::{DriftWindow, Repartitioner};
 use crate::runtime::{AdmissionPolicy, ServeTenant, SwapRecord};
 
-/// One pending event of a serving run (single-chain or fleet). Ordered
+/// One pending event of a serving run. Ordered
 /// by `(time, insertion sequence)` in the driver's [`EventQueue`]; the
 /// payload layout never affects pop order, so the packed form here is
 /// free to differ from the raw engine's.
@@ -218,8 +215,7 @@ impl ChainTenant {
     }
 }
 
-/// Driver-level per-tenant request bookkeeping, shared by the
-/// single-chain and fleet drivers.
+/// Driver-level per-tenant request bookkeeping.
 pub(crate) struct TenantRecords {
     pub(crate) sampler: ArrivalSampler,
     pub(crate) arrivals_at: Vec<f64>,
@@ -900,7 +896,7 @@ impl<'a> ChainEngine<'a> {
 
     /// Read-only copy of this chain's occupancy and per-tenant state,
     /// for debugger safe-point inspection. `powered` is the fleet's
-    /// active-prefix membership (always `true` single-chain).
+    /// active-prefix membership.
     pub(crate) fn chain_snapshot(&self, powered: bool) -> ChainSnapshot {
         ChainSnapshot {
             chain: self.c,
@@ -937,21 +933,6 @@ impl<'a> ChainEngine<'a> {
                     drift_busy_s: st.window.busy_s.clone(),
                 })
                 .collect(),
-        }
-    }
-}
-
-impl EngineInspect for ChainEngine<'_> {
-    /// One chain viewed as a whole engine (the single-chain runtime's
-    /// snapshot delegates here). The driver owns the clock and event
-    /// count, so they read 0 from a bare chain.
-    fn snapshot(&self) -> EngineSnapshot {
-        EngineSnapshot {
-            kind: EngineKind::Serve,
-            now_s: 0.0,
-            events: 0,
-            active_chains: 1,
-            chains: vec![self.chain_snapshot(true)],
         }
     }
 }

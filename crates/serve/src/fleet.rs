@@ -1,11 +1,12 @@
 //! Fleet-scale serving: N device chains behind a deterministic router,
 //! with optional backlog-driven autoscaling.
 //!
-//! The single-chain runtime ([`crate::runtime`]) drives one
-//! `ChainEngine` (`crate::chain`); this module drives a
-//! *fleet* of them — possibly
+//! This module is the one driver of the per-chain engines
+//! (`crate::chain`): it runs a *fleet* of them — possibly
 //! heterogeneous [`DeviceSpec`]s — under one clock and one pending-event
-//! set, so the whole fleet remains bitwise-deterministic per seed.
+//! set, so the whole fleet remains bitwise-deterministic per seed. The
+//! single-chain runtime [`crate::runtime::serve`] is this driver over a
+//! one-chain fleet.
 //! Three online mechanisms are layered on top of the chains:
 //!
 //! 1. **Routing** ([`RouterPolicy`]) — every arrival is placed on one
@@ -24,10 +25,10 @@
 //!    grows or shrinks the prefix at that job boundary. A deactivated
 //!    chain drains its in-flight work but receives no new requests.
 //!
-//! A 1-chain fleet with the default router in degenerate configuration
-//! is **bitwise-identical** to [`crate::runtime::serve`] — the same
-//! differential-pin discipline the runtime holds against the raw
-//! simulator (property-tested in `crates/serve/tests`).
+//! A 1-chain fleet is **bitwise-identical** to
+//! [`crate::runtime::serve`], reports and probe streams alike
+//! (property-tested in `crates/serve/tests`, beside the pin of
+//! degenerate `serve` against the raw simulator).
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -383,6 +384,11 @@ impl FleetReport {
     }
 }
 
+/// Most chains a fleet may have: chain indices travel as `u16` in
+/// events, routing records, and probe events, and so do the active
+/// chain counts of scale events.
+const MAX_CHAINS: usize = u16::MAX as usize;
+
 /// Marks a request that was shed (never routed to any chain).
 const UNROUTED: u16 = u16::MAX;
 
@@ -458,7 +464,8 @@ impl<'a, Q: EventQueue<Event>, P: Probe> FleetEngine<'a, Q, P> {
         }
         while let Some((t, ev)) = self.queue.pop() {
             // Stale flush timers are dropped before they advance the
-            // clock (as the single-chain driver).
+            // clock, so makespan and the event count reflect only work
+            // the system performed.
             if let Event::Chain {
                 c,
                 k: ChainEvent::FlushBatch { w, epoch },
@@ -473,17 +480,17 @@ impl<'a, Q: EventQueue<Event>, P: Probe> FleetEngine<'a, Q, P> {
             match ev {
                 Event::Arrive { w, r } => self.arrive(w as usize, r, t),
                 Event::Chain { c, k } => {
-                    let c = c as usize;
-                    self.chains[c].handle(k, t, &mut self.queue, &mut *self.probe);
-                    if !self.chains[c].completed.is_empty() {
-                        while let Some((w, r)) = self.chains[c].completed.pop() {
+                    let chain = &mut self.chains[c as usize];
+                    chain.handle(k, t, &mut self.queue, &mut *self.probe);
+                    if !chain.completed.is_empty() {
+                        while let Some((w, r)) = chain.completed.pop() {
                             let recs = &mut self.recs[w as usize];
                             recs.completed_at[r as usize] = t;
                             if P::ENABLED {
                                 self.probe.record(
                                     t,
                                     &ProbeEvent::Completion {
-                                        chain: c as u16,
+                                        chain: c,
                                         tenant: w,
                                         request: r,
                                         latency_s: t - recs.arrivals_at[r as usize],
@@ -529,14 +536,17 @@ impl<'a, Q: EventQueue<Event>, P: Probe> FleetEngine<'a, Q, P> {
                     request: r,
                 },
             );
-            self.probe.record(
-                t,
-                &ProbeEvent::RouterDecision {
-                    tenant: w as u32,
-                    request: r,
-                    chain: c as u16,
-                },
-            );
+            // with one chain every router is the identity: no decision
+            if self.chains.len() > 1 {
+                self.probe.record(
+                    t,
+                    &ProbeEvent::RouterDecision {
+                        tenant: w as u32,
+                        request: r,
+                        chain: c as u16,
+                    },
+                );
+            }
         }
         if self.chains[c].offer(w, r, t, &mut self.queue, &mut *self.probe) {
             self.recs[w].admitted.push(r);
@@ -674,9 +684,10 @@ impl<'a, Q: EventQueue<Event>, P: Probe> FleetEngine<'a, Q, P> {
             );
             fleet_hist.merge(&report.histogram);
             // second pass: attribute each measured sojourn to the chain
-            // that served it (same warm-up window as the tenant report)
+            // that served it (same warm-up window as the tenant report);
+            // one chain served them all, so its histogram is the fleet's
             let n_adm = recs.admitted.len();
-            if n_adm > 0 {
+            if n_adm > 0 && self.chains.len() > 1 {
                 let warm = tcfg.warmup.min(n_adm - 1);
                 for &r in &recs.admitted[warm..] {
                     let r = r as usize;
@@ -685,6 +696,9 @@ impl<'a, Q: EventQueue<Event>, P: Probe> FleetEngine<'a, Q, P> {
                 }
             }
             tenants_out.push(report);
+        }
+        if self.chains.len() == 1 {
+            chain_hists[0].clone_from(&fleet_hist);
         }
         let chains_out = self
             .chains
@@ -727,7 +741,11 @@ impl<'a, Q: EventQueue<Event>, P: Probe> FleetEngine<'a, Q, P> {
 impl<Q, P> EngineInspect for FleetEngine<'_, Q, P> {
     fn snapshot(&self) -> EngineSnapshot {
         EngineSnapshot {
-            kind: EngineKind::Fleet,
+            kind: if self.chains.len() > 1 {
+                EngineKind::Fleet
+            } else {
+                EngineKind::Serve
+            },
             now_s: self.now,
             events: self.events,
             active_chains: self.active,
@@ -744,6 +762,12 @@ impl<Q, P> EngineInspect for FleetEngine<'_, Q, P> {
 fn validate_fleet(cfg: &FleetConfig) -> Result<(), ServeError> {
     if cfg.chains.is_empty() {
         return Err(ServeError::NoChains);
+    }
+    if cfg.chains.len() > MAX_CHAINS {
+        return Err(ServeError::TooManyChains {
+            chains: cfg.chains.len(),
+            max: MAX_CHAINS,
+        });
     }
     if let Some(pol) = &cfg.autoscale {
         if pol.min_chains == 0 {
@@ -783,8 +807,9 @@ fn validate_fleet(cfg: &FleetConfig) -> Result<(), ServeError> {
 /// # Errors
 ///
 /// Returns a [`ServeError`] if any tenant is degenerate (the same
-/// checks as [`crate::runtime::serve`]), the fleet has no chains, or
-/// the autoscale policy is degenerate. Nothing is simulated on error.
+/// checks as [`crate::runtime::serve`]), the fleet has no chains or
+/// more than 65,535, or the autoscale policy is degenerate. Nothing is
+/// simulated on error.
 ///
 /// # Example
 ///

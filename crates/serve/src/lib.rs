@@ -13,7 +13,8 @@
 //! * [`fleet`] — N chains (possibly heterogeneous) behind a
 //!   deterministic **router** (round-robin, join-shortest-backlog,
 //!   power-of-two-choices, affinity) with backlog-driven
-//!   **autoscaling** and merged fleet-level reports;
+//!   **autoscaling** and merged fleet-level reports. Its driver is the
+//!   only one in the crate: [`serve`] runs as a one-chain fleet;
 //! * [`hist`] — deterministic, mergeable log-bucket latency histograms
 //!   extending reports with p50/p95/p99/p999;
 //! * [`drift`] — the utilization window and re-partitioning policy.

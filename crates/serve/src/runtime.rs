@@ -32,24 +32,27 @@
 //! are ordered by `(time, insertion sequence)` and all queues are FIFO.
 //!
 //! The chain-level resource semantics (devices, bus, batcher, drift)
-//! live in the extracted per-chain engine (`crate::chain`), which this
-//! module *drives* for the single-chain case; [`crate::fleet`] drives N
-//! of them behind a router. The engine/driver split is pinned by two
-//! differential properties: degenerate `serve` ≡ `sim::run`, and a
-//! 1-chain fleet ≡ `serve`, both bitwise.
+//! live in the per-chain engine (`crate::chain`), and the one driver of
+//! those engines is [`crate::fleet`]: [`serve`] runs as a one-chain
+//! fleet and projects the fleet report onto a [`ServeReport`]. This
+//! module owns the tenant, policy, and report types and the tenant
+//! validation. Degenerate `serve` ≡ `sim::run` is pinned bitwise by a
+//! differential property, as is a 1-chain fleet ≡ `serve` (reports and
+//! probe streams).
 
 use std::error::Error;
 use std::fmt;
 
 use respect_tpu::compile::CompiledPipeline;
 use respect_tpu::device::DeviceSpec;
-use respect_tpu::event_queue::{BinaryHeapQueue, CalendarQueue, EventQueue, QueueKind};
-use respect_tpu::probe::{EngineInspect, EngineSnapshot, NullProbe, Probe, ProbeEvent};
+use respect_tpu::event_queue::QueueKind;
+use respect_tpu::probe::{NullProbe, Probe};
 use respect_tpu::sim::{Arrivals, CompletionRecord, SimError};
 use serde::{Deserialize, Serialize};
 
-use crate::chain::{ChainEngine, ChainEvent, Event, TenantRecords};
+use crate::chain::TenantRecords;
 use crate::drift::Repartitioner;
+use crate::fleet::{serve_fleet_probed, FleetConfig};
 use crate::hist::LatencyHistogram;
 
 /// Errors rejected by [`serve`] (and `fleet::serve_fleet`) before any
@@ -93,6 +96,14 @@ pub enum ServeError {
     },
     /// A fleet was configured with no chains.
     NoChains,
+    /// A fleet was configured with more chains than chain indices can
+    /// address.
+    TooManyChains {
+        /// Chains requested.
+        chains: usize,
+        /// Most chains a fleet may have.
+        max: usize,
+    },
     /// The fleet autoscaling policy is degenerate.
     InvalidAutoscale {
         /// What was wrong.
@@ -123,6 +134,9 @@ impl fmt::Display for ServeError {
             ServeError::InvalidAdmission { detail } => write!(f, "admission policy: {detail}"),
             ServeError::InvalidRepartitioner { detail } => write!(f, "repartitioner: {detail}"),
             ServeError::NoChains => write!(f, "a fleet needs at least one chain"),
+            ServeError::TooManyChains { chains, max } => {
+                write!(f, "a fleet has at most {max} chains, got {chains}")
+            }
             ServeError::InvalidAutoscale { detail } => write!(f, "autoscale policy: {detail}"),
         }
     }
@@ -492,9 +506,8 @@ impl ServeReport {
     }
 }
 
-/// Assembles one tenant's report from the driver's request records and
-/// the chain-side counters. Shared by the single-chain and fleet
-/// drivers so the two produce bit-identical per-tenant arithmetic.
+/// Assembles one tenant's report from the fleet driver's request
+/// records and the chain-side counters summed over the fleet.
 pub(crate) fn tenant_report(
     tcfg: &ServeTenant,
     recs: &TenantRecords,
@@ -586,157 +599,8 @@ pub(crate) fn tenant_report(
     }
 }
 
-/// The single-chain driver: one [`ChainEngine`] (index 0), one clock,
-/// one pending-event set.
-struct Driver<'a, Q, P> {
-    tenants: &'a [ServeTenant],
-    cfg: ServeConfig,
-    queue: Q,
-    chain: ChainEngine<'a>,
-    recs: Vec<TenantRecords>,
-    events: u64,
-    now: f64,
-    probe: &'a mut P,
-}
-
-impl<'a, Q: EventQueue<Event>, P: Probe> Driver<'a, Q, P> {
-    fn new(
-        tenants: &'a [ServeTenant],
-        spec: &DeviceSpec,
-        cfg: ServeConfig,
-        probe: &'a mut P,
-    ) -> Self {
-        Driver {
-            tenants,
-            cfg,
-            queue: Q::default(),
-            chain: ChainEngine::new(tenants, *spec, cfg.contended_bus, 0),
-            recs: tenants.iter().map(TenantRecords::new).collect(),
-            events: 0,
-            now: 0.0,
-            probe,
-        }
-    }
-
-    fn run(mut self) -> ServeReport {
-        for w in 0..self.tenants.len() {
-            let t0 = self.recs[w].sampler.next_arrival_s();
-            self.queue.push(t0, Event::Arrive { w: w as u32, r: 0 });
-        }
-        while let Some((t, ev)) = self.queue.pop() {
-            // Flush timers whose batch already closed by size are stale:
-            // drop them before they advance the clock, so makespan and
-            // the event count reflect only work the system performed.
-            if let Event::Chain {
-                k: ChainEvent::FlushBatch { w, epoch },
-                ..
-            } = ev
-            {
-                if self.chain.flush_stale(w as usize, epoch) {
-                    continue;
-                }
-            }
-            self.now = t;
-            self.events += 1;
-            match ev {
-                Event::Arrive { w, r } => self.arrive(w as usize, r, t),
-                Event::Chain { k, .. } => {
-                    self.chain.handle(k, t, &mut self.queue, &mut *self.probe);
-                    for (w, r) in self.chain.completed.drain(..) {
-                        let recs = &mut self.recs[w as usize];
-                        recs.completed_at[r as usize] = t;
-                        if P::ENABLED {
-                            self.probe.record(
-                                t,
-                                &ProbeEvent::Completion {
-                                    chain: 0,
-                                    tenant: w,
-                                    request: r,
-                                    latency_s: t - recs.arrivals_at[r as usize],
-                                },
-                            );
-                        }
-                    }
-                }
-            }
-            // Safe point: a debugger probe may suspend and snapshot
-            // here; the poll compiles away for non-debugging probes.
-            if P::INSPECT && self.probe.wants_inspect() {
-                let snap = self.snapshot();
-                self.probe.inspect(t, &snap);
-            }
-        }
-        self.finalize()
-    }
-
-    fn arrive(&mut self, w: usize, r: u32, t: f64) {
-        self.recs[w].arrivals_at[r as usize] = t;
-        if P::ENABLED {
-            self.probe.record(
-                t,
-                &ProbeEvent::Arrival {
-                    chain: 0,
-                    tenant: w as u32,
-                    request: r,
-                },
-            );
-        }
-        if (r as usize) + 1 < self.tenants[w].requests {
-            let tn = self.recs[w].sampler.next_arrival_s();
-            self.queue.push(
-                tn,
-                Event::Arrive {
-                    w: w as u32,
-                    r: r + 1,
-                },
-            );
-        }
-        if self.chain.offer(w, r, t, &mut self.queue, &mut *self.probe) {
-            self.recs[w].admitted.push(r);
-        } else {
-            self.recs[w].shed += 1;
-        }
-    }
-
-    fn finalize(self) -> ServeReport {
-        let active_power_w = self.chain.spec().active_power_w;
-        let tenants = self
-            .tenants
-            .iter()
-            .zip(&self.recs)
-            .enumerate()
-            .map(|(w, (tcfg, recs))| {
-                tenant_report(
-                    tcfg,
-                    recs,
-                    self.chain.jobs_executed(w),
-                    self.chain.swaps(w).to_vec(),
-                    self.chain.tenant_busy_s(w) * active_power_w,
-                    self.cfg.record_completions,
-                )
-            })
-            .collect();
-        ServeReport {
-            tenants,
-            makespan_s: self.now,
-            bus_busy_s: self.chain.bus_busy_s(),
-            events: self.events,
-        }
-    }
-}
-
-impl<Q, P> EngineInspect for Driver<'_, Q, P> {
-    fn snapshot(&self) -> EngineSnapshot {
-        EngineSnapshot {
-            now_s: self.now,
-            events: self.events,
-            ..self.chain.snapshot()
-        }
-    }
-}
-
-/// Rejects degenerate tenants — the shared front door of [`serve`] and
-/// `fleet::serve_fleet`.
+/// Rejects degenerate tenants — the front door of
+/// [`serve_fleet`](crate::fleet::serve_fleet), and so of [`serve`].
 pub(crate) fn validate_tenants(tenants: &[ServeTenant]) -> Result<(), ServeError> {
     if tenants.is_empty() {
         return Err(ServeError::NoTenants);
@@ -828,6 +692,12 @@ pub fn serve(
 /// `serve_probed(.., &mut NullProbe)` is exactly [`serve`] — the
 /// instrumentation compiles away and the run is bitwise identical.
 ///
+/// This is [`serve_fleet_probed`] over a one-chain
+/// [`FleetConfig::homogeneous`] fleet carrying `cfg`'s switches, with
+/// the chain's bus time projected into [`ServeReport::bus_busy_s`].
+/// With one chain every router is the identity, so no
+/// `RouterDecision` events are emitted.
+///
 /// # Errors
 ///
 /// As [`serve`].
@@ -837,13 +707,17 @@ pub fn serve_probed<P: Probe>(
     cfg: &ServeConfig,
     probe: &mut P,
 ) -> Result<ServeReport, ServeError> {
-    validate_tenants(tenants)?;
-    Ok(match cfg.queue {
-        QueueKind::BinaryHeap => {
-            Driver::<BinaryHeapQueue<Event>, P>::new(tenants, spec, *cfg, probe).run()
-        }
-        QueueKind::Calendar => {
-            Driver::<CalendarQueue<Event>, P>::new(tenants, spec, *cfg, probe).run()
-        }
+    let fleet = FleetConfig {
+        contended_bus: cfg.contended_bus,
+        record_completions: cfg.record_completions,
+        queue: cfg.queue,
+        ..FleetConfig::homogeneous(1, *spec)
+    };
+    let report = serve_fleet_probed(tenants, &fleet, probe)?;
+    Ok(ServeReport {
+        bus_busy_s: report.chains[0].bus_busy_s,
+        tenants: report.tenants,
+        makespan_s: report.makespan_s,
+        events: report.events,
     })
 }

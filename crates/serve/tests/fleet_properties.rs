@@ -5,8 +5,9 @@
 //! * **Degenerate-fleet pin**: a 1-chain fleet with the round-robin
 //!   (passthrough) router is **bitwise-identical** to the single-chain
 //!   runtime [`serve`] — same tenant reports (histograms, energy and
-//!   completion records included), same makespan, same event count —
-//!   for *every* serving configuration, not just the degenerate one;
+//!   completion records included), same makespan, same event count,
+//!   same probe stream — for *every* serving configuration, not just
+//!   the degenerate one;
 //! * **Goodput monotonicity**: adding chains to an overloaded fleet
 //!   never reduces the number of admitted requests;
 //! * **Tie-breaks by construction**: join-shortest-backlog resolves
@@ -24,11 +25,29 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use respect_sched::Schedule;
 use respect_serve::{
-    serve, serve_fleet, AdmissionPolicy, AutoscalePolicy, BatchPolicy, FleetConfig, RouterPolicy,
-    ServeConfig, ServeError, ServeTenant,
+    serve_fleet, serve_fleet_probed, serve_probed, AdmissionPolicy, AutoscalePolicy, BatchPolicy,
+    FleetConfig, RouterPolicy, ServeConfig, ServeError, ServeTenant,
 };
+use respect_tpu::probe::{Probe, ProbeEvent};
 use respect_tpu::sim::{self, Arrivals};
 use respect_tpu::{CompiledPipeline, DeviceSpec, Segment};
+
+/// Collects the probe stream.
+#[derive(Default)]
+struct Recorder(Vec<(f64, ProbeEvent)>);
+
+impl Probe for Recorder {
+    fn record(&mut self, t: f64, ev: &ProbeEvent) {
+        self.0.push((t, *ev));
+    }
+}
+
+impl Recorder {
+    /// The stream with times as bits, for bitwise comparison.
+    fn bits(&self) -> Vec<(u64, ProbeEvent)> {
+        self.0.iter().map(|&(t, ev)| (t.to_bits(), ev)).collect()
+    }
+}
 
 /// A random pipeline with consistent inter-stage byte counts
 /// (`output[k] == input[k+1]`), as in the runtime's own property tests.
@@ -67,12 +86,13 @@ fn max_hold(p: &CompiledPipeline, spec: &DeviceSpec) -> f64 {
         .fold(0.0, f64::max)
 }
 
-/// Asserts a 1-chain fleet reproduces the single-chain runtime bitwise.
+/// Asserts a 1-chain fleet reproduces the single-chain runtime bitwise,
+/// reports and probe streams alike.
 ///
-/// The equivalence is by construction — with one chain every router is
-/// the identity and the fleet driver replays the exact event stream of
-/// the single-chain driver — so it must hold for arbitrary batching,
-/// admission, and warm-up settings, on both bus models.
+/// The equivalence is by construction — `serve` runs as a one-chain
+/// fleet, and with one chain every router is the identity — so it must
+/// hold for arbitrary batching, admission, and warm-up settings, on
+/// both bus models.
 fn assert_one_chain_fleet_matches_serve(tenants: &[ServeTenant], contended: bool) {
     let spec = DeviceSpec::coral();
     let serve_cfg = if contended {
@@ -84,8 +104,11 @@ fn assert_one_chain_fleet_matches_serve(tenants: &[ServeTenant], contended: bool
     if contended {
         fleet_cfg = fleet_cfg.with_contended_bus();
     }
-    let s = serve(tenants, &spec, &serve_cfg).unwrap();
-    let f = serve_fleet(tenants, &fleet_cfg).unwrap();
+    let (mut s_probe, mut f_probe) = (Recorder::default(), Recorder::default());
+    let s = serve_probed(tenants, &spec, &serve_cfg, &mut s_probe).unwrap();
+    let f = serve_fleet_probed(tenants, &fleet_cfg, &mut f_probe).unwrap();
+    // The probe streams match event for event, times bitwise.
+    assert_eq!(f_probe.bits(), s_probe.bits());
     // Tenant reports carry every per-request artifact (histogram, swap
     // log, energy, completion records); PartialEq on bitwise-identical
     // floats is exact equality.
@@ -377,6 +400,18 @@ fn fleet_validation_rejects_degenerate_configurations() {
         serve_fleet(std::slice::from_ref(&tenant), &no_chains),
         Err(ServeError::NoChains)
     ));
+    // chain indices travel as u16: a fleet past that range is refused,
+    // never folded onto chain 0
+    let too_many = FleetConfig::homogeneous(usize::from(u16::MAX) + 2, spec);
+    let err = serve_fleet(std::slice::from_ref(&tenant), &too_many).unwrap_err();
+    assert_eq!(
+        err,
+        ServeError::TooManyChains {
+            chains: 65_537,
+            max: 65_535
+        }
+    );
+    assert!(err.to_string().contains("at most 65535 chains"), "{err}");
     for bad in [
         AutoscalePolicy::new().with_min_chains(0),
         AutoscalePolicy::new().with_min_chains(5),

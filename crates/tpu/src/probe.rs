@@ -41,7 +41,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::sim::{ResourceId, TraceSpan};
+use crate::sim::ResourceId;
 
 /// Why an admission controller refused a request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -228,8 +228,8 @@ pub trait Probe {
 }
 
 /// Read-only state inspection, implemented by every engine that
-/// supports safe-point suspension (the raw sim engine, the single-chain
-/// serving driver, `ChainEngine`, and `FleetEngine` in `respect_serve`).
+/// supports safe-point suspension (the raw sim engine, and the serving
+/// driver `FleetEngine` in `respect_serve`, which also runs `serve`).
 ///
 /// The snapshot is an owned, plain-data copy: building it borrows the
 /// engine shared, handing it to the probe borrows nothing, so a
@@ -245,9 +245,12 @@ pub trait EngineInspect {
 pub enum EngineKind {
     /// The raw discrete-event simulator ([`crate::sim`]).
     Sim,
-    /// The single-chain serving runtime (`respect_serve::serve`).
+    /// A one-chain serving run: `respect_serve::serve`, or
+    /// `respect_serve::serve_fleet` over a one-chain fleet (the same
+    /// driver either way).
     Serve,
-    /// The fleet runtime (`respect_serve::fleet`).
+    /// A serving run over a fleet of two or more chains
+    /// (`respect_serve::fleet`).
     Fleet,
 }
 
@@ -415,155 +418,9 @@ impl<A: Probe, B: Probe> Probe for (A, B) {
     }
 }
 
-/// Busy-interval log with an optional ring-mode cap — the recorder
-/// behind [`crate::sim::SimConfig::record_trace`].
-///
-/// Unbounded mode reproduces the historical `SimReport::trace` exactly.
-/// Bounded mode (see [`crate::sim::SimConfig::with_trace_cap`]) keeps
-/// only the *last* `cap` spans in arrival order, so multi-hour soak
-/// horizons can record a post-mortem tail in constant memory instead of
-/// growing without bound.
-#[derive(Debug, Clone, Default)]
-pub struct SpanLog {
-    spans: Vec<TraceSpan>,
-    cap: Option<usize>,
-    /// Ring write cursor, meaningful once `spans.len() == cap`.
-    head: usize,
-    dropped: u64,
-}
-
-impl SpanLog {
-    /// A log that grows without bound (the historical behavior).
-    #[must_use]
-    pub fn unbounded() -> Self {
-        SpanLog::default()
-    }
-
-    /// A log that keeps only the most recent `cap` spans. A zero cap
-    /// drops everything.
-    #[must_use]
-    pub fn bounded(cap: usize) -> Self {
-        SpanLog {
-            spans: Vec::with_capacity(cap.min(4096)),
-            cap: Some(cap),
-            head: 0,
-            dropped: 0,
-        }
-    }
-
-    /// Appends one span, evicting the oldest when at the cap.
-    pub fn push(&mut self, span: TraceSpan) {
-        match self.cap {
-            None => self.spans.push(span),
-            Some(0) => self.dropped += 1,
-            Some(cap) => {
-                if self.spans.len() < cap {
-                    self.spans.push(span);
-                } else {
-                    self.spans[self.head] = span;
-                    self.head = (self.head + 1) % cap;
-                    self.dropped += 1;
-                }
-            }
-        }
-    }
-
-    /// Spans recorded and retained.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.spans.len()
-    }
-
-    /// True when nothing is retained.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.spans.is_empty()
-    }
-
-    /// Spans evicted (or refused, at cap 0) by ring mode.
-    #[must_use]
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
-    /// Consumes the log into chronologically ordered spans (rotating
-    /// the ring so the oldest retained span comes first).
-    #[must_use]
-    pub fn into_vec(mut self) -> Vec<TraceSpan> {
-        if self.cap.is_some() && self.head > 0 {
-            self.spans.rotate_left(self.head);
-        }
-        self.spans
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn span(i: usize) -> TraceSpan {
-        TraceSpan {
-            resource: ResourceId::Bus,
-            tenant: 0,
-            request: i,
-            stage: 0,
-            start_s: i as f64,
-            end_s: i as f64 + 0.5,
-        }
-    }
-
-    #[test]
-    fn unbounded_log_keeps_everything_in_order() {
-        let mut log = SpanLog::unbounded();
-        for i in 0..10 {
-            log.push(span(i));
-        }
-        assert_eq!(log.len(), 10);
-        assert_eq!(log.dropped(), 0);
-        let v = log.into_vec();
-        assert_eq!(
-            v.iter().map(|s| s.request).collect::<Vec<_>>(),
-            (0..10).collect::<Vec<_>>()
-        );
-    }
-
-    #[test]
-    fn bounded_log_keeps_the_chronological_tail() {
-        let mut log = SpanLog::bounded(4);
-        for i in 0..10 {
-            log.push(span(i));
-        }
-        assert_eq!(log.len(), 4);
-        assert_eq!(log.dropped(), 6);
-        let v = log.into_vec();
-        assert_eq!(
-            v.iter().map(|s| s.request).collect::<Vec<_>>(),
-            vec![6, 7, 8, 9]
-        );
-    }
-
-    #[test]
-    fn bounded_log_below_cap_matches_unbounded() {
-        let mut log = SpanLog::bounded(16);
-        for i in 0..5 {
-            log.push(span(i));
-        }
-        assert_eq!(log.dropped(), 0);
-        let v = log.into_vec();
-        assert_eq!(v.len(), 5);
-        assert_eq!(v[0].request, 0);
-    }
-
-    #[test]
-    fn zero_cap_drops_everything() {
-        let mut log = SpanLog::bounded(0);
-        for i in 0..3 {
-            log.push(span(i));
-        }
-        assert!(log.is_empty());
-        assert_eq!(log.dropped(), 3);
-        assert!(log.into_vec().is_empty());
-    }
 
     #[test]
     fn null_probe_is_disabled_and_fanout_composes() {

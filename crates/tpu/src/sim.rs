@@ -41,8 +41,8 @@
 //! its buckets, and per-tenant statistics stream into scalar
 //! accumulators (in the exact floating-point order of the seed
 //! implementation) instead of per-request arrays, so multi-hour soak
-//! horizons run in constant memory unless completion records or traces
-//! are requested.
+//! horizons run in constant memory unless completion records are
+//! requested.
 
 use std::collections::VecDeque;
 use std::error::Error;
@@ -58,7 +58,7 @@ use crate::event_queue::{BinaryHeapQueue, CalendarQueue, EventQueue, QueueKind};
 use crate::mem::SmallQueue;
 use crate::probe::{
     BusSnapshot, ChainSnapshot, DeviceSnapshot, EngineInspect, EngineKind, EngineSnapshot,
-    NullProbe, Probe, ProbeEvent, SpanLog, TenantSnapshot,
+    NullProbe, Probe, ProbeEvent, TenantSnapshot,
 };
 use crate::usb;
 
@@ -459,14 +459,6 @@ pub struct SimConfig {
     /// parameter transfers of all devices and tenants share one USB bus,
     /// served in FIFO order.
     pub contended_bus: bool,
-    /// Record per-resource busy intervals in [`SimReport::trace`]
-    /// (costs memory proportional to event count unless capped by
-    /// [`SimConfig::trace_cap`]; meant for tests and post-mortems).
-    pub record_trace: bool,
-    /// `Some(n)`: keep only the most recent `n` trace spans (ring
-    /// mode — constant memory on long horizons). `None`: unbounded,
-    /// the historical behavior.
-    pub trace_cap: Option<usize>,
     /// Record exact per-request `(arrival, completion)` event times in
     /// [`TenantReport::completions`] (costs memory proportional to
     /// request count). The percentile layer of `respect_serve` is
@@ -484,8 +476,6 @@ impl SimConfig {
     pub fn uncontended() -> Self {
         SimConfig {
             contended_bus: false,
-            record_trace: false,
-            trace_cap: None,
             record_completions: false,
             queue: QueueKind::default(),
         }
@@ -496,27 +486,9 @@ impl SimConfig {
     pub fn contended() -> Self {
         SimConfig {
             contended_bus: true,
-            record_trace: false,
-            trace_cap: None,
             record_completions: false,
             queue: QueueKind::default(),
         }
-    }
-
-    /// Enables trace recording.
-    #[must_use]
-    pub fn with_trace(mut self) -> Self {
-        self.record_trace = true;
-        self
-    }
-
-    /// Enables trace recording, keeping only the most recent `cap`
-    /// spans (a constant-memory post-mortem tail for long horizons).
-    #[must_use]
-    pub fn with_trace_cap(mut self, cap: usize) -> Self {
-        self.record_trace = true;
-        self.trace_cap = Some(cap);
-        self
     }
 
     /// Enables per-request completion records.
@@ -547,24 +519,6 @@ pub enum ResourceId {
     Device(usize),
     /// The shared host USB bus.
     Bus,
-}
-
-/// One busy interval of one resource (recorded when
-/// [`SimConfig::record_trace`] is set).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct TraceSpan {
-    /// The resource that was held.
-    pub resource: ResourceId,
-    /// Tenant (workload index) holding it.
-    pub tenant: usize,
-    /// Request index within the tenant.
-    pub request: usize,
-    /// Pipeline stage the hold belongs to.
-    pub stage: usize,
-    /// Hold start, seconds.
-    pub start_s: f64,
-    /// Hold end, seconds.
-    pub end_s: f64,
 }
 
 /// Exact event times of one request (recorded when
@@ -624,9 +578,6 @@ pub struct SimReport {
     pub bus_busy_s: f64,
     /// Events processed.
     pub events: u64,
-    /// Busy intervals per resource (empty unless
-    /// [`SimConfig::record_trace`]).
-    pub trace: Vec<TraceSpan>,
 }
 
 /// Per-stage timings of one workload, batch-scaled once up front.
@@ -737,8 +688,6 @@ enum EventKind {
 struct Device {
     busy: bool,
     queue: SmallQueue<(usize, usize), 4>,
-    /// Open hold for trace recording: `(tenant, request, stage, start)`.
-    open: Option<(usize, usize, usize, f64)>,
 }
 
 #[derive(Debug, Clone, Copy, Default)]
@@ -754,7 +703,6 @@ struct BusRequest {
 struct Bus {
     busy: bool,
     queue: SmallQueue<BusRequest, 4>,
-    open: Option<(usize, usize, usize, f64)>,
     busy_s: f64,
 }
 
@@ -795,7 +743,6 @@ struct Engine<'a, Q, P> {
     timings: Vec<StageTiming>,
     /// Device-chain length; the stride of `timings`.
     chain: usize,
-    trace: SpanLog,
     events: u64,
     now: f64,
     /// Monomorphized observer; every call site is guarded by
@@ -858,10 +805,6 @@ impl<'a, Q: EventQueue<EventKind>, P: Probe> Engine<'a, Q, P> {
             tenants,
             timings,
             chain,
-            trace: match cfg.trace_cap {
-                Some(cap) => SpanLog::bounded(cap),
-                None => SpanLog::unbounded(),
-            },
             events: 0,
             now: 0.0,
             probe,
@@ -971,9 +914,6 @@ impl<'a, Q: EventQueue<EventKind>, P: Probe> Engine<'a, Q, P> {
 
     fn seize_device(&mut self, w: usize, r: usize, k: usize, t: f64) {
         self.devices[k].busy = true;
-        if self.cfg.record_trace {
-            self.devices[k].open = Some((w, r, k, t));
-        }
         if P::ENABLED {
             self.probe.record(
                 t,
@@ -1024,9 +964,6 @@ impl<'a, Q: EventQueue<EventKind>, P: Probe> Engine<'a, Q, P> {
     fn grant_bus(&mut self, req: BusRequest, t: f64) {
         self.bus.busy = true;
         self.bus.busy_s += req.duration;
-        if self.cfg.record_trace {
-            self.bus.open = Some((req.w, req.r, req.k, t));
-        }
         if P::ENABLED {
             self.probe.record(
                 t,
@@ -1052,16 +989,6 @@ impl<'a, Q: EventQueue<EventKind>, P: Probe> Engine<'a, Q, P> {
 
     fn release_bus(&mut self, w: usize, r: usize, k: usize, t: f64) {
         self.bus.busy = false;
-        if let Some((tw, tr, tk, start)) = self.bus.open.take() {
-            self.trace.push(TraceSpan {
-                resource: ResourceId::Bus,
-                tenant: tw,
-                request: tr,
-                stage: tk,
-                start_s: start,
-                end_s: t,
-            });
-        }
         if P::ENABLED {
             self.probe.record(
                 t,
@@ -1111,16 +1038,6 @@ impl<'a, Q: EventQueue<EventKind>, P: Probe> Engine<'a, Q, P> {
 
     fn finish_stage(&mut self, w: usize, r: usize, k: usize, t: f64) {
         self.devices[k].busy = false;
-        if let Some((tw, tr, tk, start)) = self.devices[k].open.take() {
-            self.trace.push(TraceSpan {
-                resource: ResourceId::Device(k),
-                tenant: tw,
-                request: tr,
-                stage: tk,
-                start_s: start,
-                end_s: t,
-            });
-        }
         if P::ENABLED {
             self.probe.record(
                 t,
@@ -1224,7 +1141,6 @@ impl<'a, Q: EventQueue<EventKind>, P: Probe> Engine<'a, Q, P> {
             makespan_s: self.now,
             bus_busy_s: self.bus.busy_s,
             events: self.events,
-            trace: self.trace.into_vec(),
         }
     }
 }
@@ -1384,6 +1300,54 @@ mod tests {
     use respect_graph::models;
     use respect_sched::{balanced::ParamBalanced, Scheduler};
 
+    /// Collects the probe stream.
+    #[derive(Default)]
+    struct Recorder(Vec<(f64, ProbeEvent)>);
+
+    impl Probe for Recorder {
+        fn record(&mut self, t: f64, ev: &ProbeEvent) {
+            self.0.push((t, *ev));
+        }
+    }
+
+    /// One resource hold, paired from an `Acquire`/`Release` probe pair.
+    struct Span {
+        resource: ResourceId,
+        start_s: f64,
+        end_s: f64,
+    }
+
+    impl Recorder {
+        /// The stream with times as bits, for bitwise comparison.
+        fn bits(&self) -> Vec<(u64, ProbeEvent)> {
+            self.0.iter().map(|&(t, ev)| (t.to_bits(), ev)).collect()
+        }
+
+        /// Resource holds in release order. Every resource is a single
+        /// server, so a release closes that resource's one open hold.
+        fn spans(&self) -> Vec<Span> {
+            let mut open: Vec<(ResourceId, f64)> = Vec::new();
+            let mut spans = Vec::new();
+            for &(t, ev) in &self.0 {
+                match ev {
+                    ProbeEvent::Acquire { resource, .. } => open.push((resource, t)),
+                    ProbeEvent::Release { resource, .. } => {
+                        let i = open.iter().position(|o| o.0 == resource).unwrap();
+                        let (_, start_s) = open.swap_remove(i);
+                        spans.push(Span {
+                            resource,
+                            start_s,
+                            end_s: t,
+                        });
+                    }
+                    _ => {}
+                }
+            }
+            assert!(open.is_empty(), "every hold is released");
+            spans
+        }
+    }
+
     fn pipeline(stages: usize) -> (CompiledPipeline, DeviceSpec) {
         let dag = models::resnet50();
         let spec = DeviceSpec::coral();
@@ -1529,40 +1493,18 @@ mod tests {
     fn trace_spans_cover_devices_and_bus() {
         let (p, spec) = pipeline(3);
         let wl = Workload::closed_loop(p, 20);
-        let r = run(&[wl], &spec, &SimConfig::contended().with_trace()).unwrap();
-        let device_spans = r
-            .trace
+        let mut rec = Recorder::default();
+        run_probed(&[wl], &spec, &SimConfig::contended(), &mut rec).unwrap();
+        let spans = rec.spans();
+        let device_spans = spans
             .iter()
             .filter(|s| matches!(s.resource, ResourceId::Device(_)))
             .count();
         assert_eq!(device_spans, 20 * 3, "one device hold per request-stage");
-        assert!(r.trace.iter().any(|s| s.resource == ResourceId::Bus));
-        for s in &r.trace {
+        assert!(spans.iter().any(|s| s.resource == ResourceId::Bus));
+        for s in &spans {
             assert!(s.end_s >= s.start_s);
         }
-    }
-
-    #[test]
-    fn trace_cap_keeps_the_chronological_tail() {
-        let (p, spec) = pipeline(3);
-        let wl = Workload::closed_loop(p, 20);
-        let full = run(
-            std::slice::from_ref(&wl),
-            &spec,
-            &SimConfig::contended().with_trace(),
-        )
-        .unwrap();
-        let capped = run(&[wl], &spec, &SimConfig::contended().with_trace_cap(10)).unwrap();
-        assert_eq!(capped.trace.len(), 10);
-        assert_eq!(
-            capped.trace,
-            full.trace[full.trace.len() - 10..],
-            "ring mode keeps the newest spans, oldest first"
-        );
-        assert_eq!(
-            capped.tenants, full.tenants,
-            "the cap never affects results"
-        );
     }
 
     #[test]
@@ -1719,15 +1661,10 @@ mod tests {
                     .with_warmup(10),
                 Workload::closed_loop(p.clone(), 150),
             ];
-            run(
-                &wls,
-                &spec,
-                &SimConfig::contended()
-                    .with_trace()
-                    .with_completions()
-                    .with_queue(queue),
-            )
-            .unwrap()
+            let mut rec = Recorder::default();
+            let cfg = SimConfig::contended().with_completions().with_queue(queue);
+            let report = run_probed(&wls, &spec, &cfg, &mut rec).unwrap();
+            (report, rec.bits())
         };
         let heap = mk(QueueKind::BinaryHeap);
         let calendar = mk(QueueKind::Calendar);

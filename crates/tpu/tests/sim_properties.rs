@@ -21,8 +21,77 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use respect_sched::Schedule;
+use respect_tpu::probe::{Probe, ProbeEvent};
 use respect_tpu::sim::{self, Arrivals, ResourceId, SimConfig, Workload};
 use respect_tpu::{exec, CompiledPipeline, DeviceSpec, Segment};
+
+/// Collects the probe stream.
+#[derive(Default)]
+struct Recorder(Vec<(f64, ProbeEvent)>);
+
+impl Probe for Recorder {
+    fn record(&mut self, t: f64, ev: &ProbeEvent) {
+        self.0.push((t, *ev));
+    }
+}
+
+/// One resource hold, paired from an `Acquire`/`Release` probe pair.
+struct Span {
+    resource: ResourceId,
+    tenant: u32,
+    request: u32,
+    start_s: f64,
+    end_s: f64,
+}
+
+impl Recorder {
+    /// The stream with times as bits, for bitwise comparison.
+    fn bits(&self) -> Vec<(u64, ProbeEvent)> {
+        self.0.iter().map(|&(t, ev)| (t.to_bits(), ev)).collect()
+    }
+
+    /// Resource holds in release order. Every resource is a single
+    /// server, so a release closes that resource's one open hold, and
+    /// it must name the same tenant and request.
+    fn spans(&self) -> Vec<Span> {
+        let mut open: Vec<(ResourceId, u32, u32, f64)> = Vec::new();
+        let mut spans = Vec::new();
+        for &(t, ev) in &self.0 {
+            match ev {
+                ProbeEvent::Acquire {
+                    resource,
+                    tenant,
+                    request,
+                    ..
+                } => open.push((resource, tenant, request, t)),
+                ProbeEvent::Release {
+                    resource,
+                    tenant,
+                    request,
+                    ..
+                } => {
+                    let i = open.iter().position(|o| o.0 == resource).unwrap();
+                    let (_, w, r, start_s) = open.swap_remove(i);
+                    assert_eq!(
+                        (w, r),
+                        (tenant, request),
+                        "{resource:?} released by another holder"
+                    );
+                    spans.push(Span {
+                        resource,
+                        tenant,
+                        request,
+                        start_s,
+                        end_s: t,
+                    });
+                }
+                _ => {}
+            }
+        }
+        assert!(open.is_empty(), "every hold is released");
+        spans
+    }
+}
 
 /// A random pipeline with consistent inter-stage byte counts
 /// (`output[k] == input[k+1]`).
@@ -89,11 +158,13 @@ proptest! {
         let spec = DeviceSpec::coral();
         let a = Workload::closed_loop(random_pipeline(stages, seed), 40);
         let b = Workload::closed_loop(random_pipeline(stages, seed ^ 0xdead_beef), 40);
-        let report = sim::run(&[a, b], &spec, &SimConfig::contended().with_trace()).unwrap();
+        let mut rec = Recorder::default();
+        sim::run_probed(&[a, b], &spec, &SimConfig::contended(), &mut rec).unwrap();
+        let trace = rec.spans();
         // group spans per resource, preserving engine emission order
         let resources: Vec<ResourceId> = {
             let mut seen = Vec::new();
-            for s in &report.trace {
+            for s in &trace {
                 if !seen.contains(&s.resource) {
                     seen.push(s.resource);
                 }
@@ -101,7 +172,7 @@ proptest! {
             seen
         };
         for res in resources {
-            let mut spans: Vec<_> = report.trace.iter().filter(|s| s.resource == res).collect();
+            let mut spans: Vec<_> = trace.iter().filter(|s| s.resource == res).collect();
             spans.sort_by(|x, y| x.start_s.total_cmp(&y.start_s));
             for w in spans.windows(2) {
                 prop_assert!(
@@ -113,7 +184,7 @@ proptest! {
             if let ResourceId::Device(_) = res {
                 // per-tenant request order must be preserved (FIFO)
                 for tenant in 0..2 {
-                    let reqs: Vec<usize> = spans
+                    let reqs: Vec<u32> = spans
                         .iter()
                         .filter(|s| s.tenant == tenant)
                         .map(|s| s.request)
@@ -173,10 +244,12 @@ proptest! {
                 Workload::closed_loop(random_pipeline(stages, !seed), 20),
             ]
         };
-        let cfg = SimConfig::contended().with_trace();
-        let a = sim::run(&mk(), &spec, &cfg).unwrap();
-        let b = sim::run(&mk(), &spec, &cfg).unwrap();
+        let cfg = SimConfig::contended();
+        let (mut rec_a, mut rec_b) = (Recorder::default(), Recorder::default());
+        let a = sim::run_probed(&mk(), &spec, &cfg, &mut rec_a).unwrap();
+        let b = sim::run_probed(&mk(), &spec, &cfg, &mut rec_b).unwrap();
         prop_assert_eq!(a, b);
+        prop_assert_eq!(rec_a.bits(), rec_b.bits());
     }
 
     #[test]

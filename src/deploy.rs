@@ -43,17 +43,16 @@
 //! Every runtime entry point also has a `_probed` twin
 //! ([`Deployment::simulate_workloads_probed`], [`Deployment::serve_probed`],
 //! [`Deployment::serve_fleet_probed`]) threading a
-//! [`respect_tpu::probe::Probe`] through the engine, and
-//! [`Deployment::serve_with_metrics`] / [`Deployment::serve_fleet_with_metrics`]
-//! bundle a [`respect_obs::MetricsRecorder`] for the common
-//! "run it and give me the numbers" case.
+//! [`respect_tpu::probe::Probe`] through the engine; attach a
+//! [`respect_obs::MetricsRecorder`] and read
+//! [`MetricsRecorder::snapshot`](respect_obs::MetricsRecorder::snapshot)
+//! for the common "run it and give me the numbers" case.
 
 use std::sync::OnceLock;
 use std::time::Duration;
 
 use respect_core::{train_policy, PtrNetPolicy, RespectScheduler, TrainConfig};
 use respect_graph::Dag;
-use respect_obs::{MetricsRecorder, MetricsSnapshot};
 use respect_sched::registry::{BuildOptions, Registry};
 use respect_sched::{CostModel, Schedule, Scheduler};
 use respect_serve::{
@@ -437,28 +436,12 @@ impl Deployment {
         Ok(serve_rt::serve_probed(tenants, &self.spec, cfg, probe)?)
     }
 
-    /// [`Deployment::serve`] with a [`MetricsRecorder`] attached,
-    /// returning the report together with the frozen metrics snapshot.
-    ///
-    /// # Errors
-    ///
-    /// As [`Deployment::serve`].
-    pub fn serve_with_metrics(
-        &self,
-        tenants: &[ServeTenant],
-        cfg: &ServeConfig,
-    ) -> Result<(ServeReport, MetricsSnapshot), Error> {
-        let mut metrics = MetricsRecorder::new();
-        let report = serve_rt::serve_probed(tenants, &self.spec, cfg, &mut metrics)?;
-        Ok((report, metrics.snapshot()))
-    }
-
     /// The fleet configuration assembled from the builder's
     /// [`DeploymentBuilder::fleet`] / [`DeploymentBuilder::chains`] /
     /// [`DeploymentBuilder::router`] / [`DeploymentBuilder::autoscale`]
     /// hooks. Clone and extend it (e.g.
     /// `FleetConfig::with_contended_bus`) for switches the builder does
-    /// not expose, then call [`Deployment::serve_fleet_with`].
+    /// not expose, then call [`serve_rt::serve_fleet`] on it.
     pub fn fleet_config(&self) -> &FleetConfig {
         &self.fleet
     }
@@ -488,51 +471,5 @@ impl Deployment {
         probe: &mut P,
     ) -> Result<FleetReport, Error> {
         Ok(serve_rt::serve_fleet_probed(tenants, &self.fleet, probe)?)
-    }
-
-    /// [`Deployment::serve_fleet`] with a [`MetricsRecorder`] attached,
-    /// returning the report together with the frozen metrics snapshot.
-    ///
-    /// # Errors
-    ///
-    /// As [`Deployment::serve_fleet`].
-    pub fn serve_fleet_with_metrics(
-        &self,
-        tenants: &[ServeTenant],
-    ) -> Result<(FleetReport, MetricsSnapshot), Error> {
-        let mut metrics = MetricsRecorder::new();
-        let report = serve_rt::serve_fleet_probed(tenants, &self.fleet, &mut metrics)?;
-        Ok((report, metrics.snapshot()))
-    }
-
-    /// Runs the fleet serving runtime for `tenants` under an explicit
-    /// `cfg`, bypassing the builder hooks. Identical to
-    /// [`serve_rt::serve_fleet`].
-    ///
-    /// # Errors
-    ///
-    /// [`Error::Serve`] for degenerate tenants or fleet configs; see
-    /// [`serve_rt::serve_fleet`].
-    pub fn serve_fleet_with(
-        &self,
-        tenants: &[ServeTenant],
-        cfg: &FleetConfig,
-    ) -> Result<FleetReport, Error> {
-        Ok(serve_rt::serve_fleet(tenants, cfg)?)
-    }
-
-    /// [`Deployment::serve_fleet_with`] with a [`Probe`] observing the
-    /// event stream.
-    ///
-    /// # Errors
-    ///
-    /// As [`Deployment::serve_fleet_with`].
-    pub fn serve_fleet_with_probed<P: Probe>(
-        &self,
-        tenants: &[ServeTenant],
-        cfg: &FleetConfig,
-        probe: &mut P,
-    ) -> Result<FleetReport, Error> {
-        Ok(serve_rt::serve_fleet_probed(tenants, cfg, probe)?)
     }
 }

@@ -19,6 +19,7 @@ use std::path::Path;
 
 use respect::deploy::Deployment;
 use respect::graph::models;
+use respect::obs::MetricsRecorder;
 use respect::serve::{AdmissionPolicy, BatchPolicy, RouterPolicy};
 use respect::tpu::sim::Arrivals;
 
@@ -44,9 +45,11 @@ fn run_exposition() -> String {
         })
         .with_batcher(BatchPolicy::new(4, 2e-3))
         .with_admission(AdmissionPolicy::QueueBound { max_waiting: 16 });
-    let (report, snap) = deployment
-        .serve_fleet_with_metrics(&[tenant])
+    let mut metrics = MetricsRecorder::new();
+    let report = deployment
+        .serve_fleet_probed(&[tenant], &mut metrics)
         .expect("fleet run succeeds");
+    let snap = metrics.snapshot();
     // the snapshot agrees with the report before we pin it
     assert_eq!(snap.counter("arrivals"), Some(report.offered() as u64));
     assert_eq!(snap.counter("admitted"), Some(report.admitted() as u64));

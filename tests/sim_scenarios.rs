@@ -5,7 +5,8 @@
 
 use respect::graph::models;
 use respect::sched::{balanced::ParamBalanced, Scheduler};
-use respect::tpu::sim::{self, Arrivals, SimConfig, Workload};
+use respect::tpu::probe::{Probe, ProbeEvent};
+use respect::tpu::sim::{self, Arrivals, ResourceId, SimConfig, Workload};
 use respect::tpu::{compile, device::DeviceSpec, CompiledPipeline};
 
 fn compiled(dag: &respect::graph::Dag, stages: usize, spec: &DeviceSpec) -> CompiledPipeline {
@@ -187,21 +188,40 @@ fn mixed_depth_tenants_share_the_chain_prefix() {
     let spec = DeviceSpec::coral();
     let deep = compiled(&models::resnet101(), 4, &spec);
     let shallow = compiled(&models::xception(), 2, &spec);
-    let r = sim::run(
+    // the resource holds, as (tenant, resource) of each Acquire
+    #[derive(Default)]
+    struct Holds(Vec<(u32, ResourceId)>);
+    impl Probe for Holds {
+        fn record(&mut self, _t: f64, ev: &ProbeEvent) {
+            if let ProbeEvent::Acquire {
+                tenant, resource, ..
+            } = *ev
+            {
+                self.0.push((tenant, resource));
+            }
+        }
+    }
+    let mut holds = Holds::default();
+    let r = sim::run_probed(
         &[
             Workload::closed_loop(deep, 120),
             Workload::closed_loop(shallow, 120),
         ],
         &spec,
-        &SimConfig::contended().with_trace(),
+        &SimConfig::contended(),
+        &mut holds,
     )
     .unwrap();
     assert_eq!(r.tenants[0].inferences, 120);
     assert_eq!(r.tenants[1].inferences, 120);
     // the shallow tenant never touches devices 2..4
-    use respect::tpu::sim::ResourceId;
-    assert!(r.trace.iter().filter(|s| s.tenant == 1).all(|s| matches!(
-        s.resource,
-        ResourceId::Bus | ResourceId::Device(0) | ResourceId::Device(1)
-    )));
+    assert!(holds.0.iter().any(|&(w, _)| w == 1));
+    assert!(holds
+        .0
+        .iter()
+        .filter(|&&(w, _)| w == 1)
+        .all(|&(_, res)| matches!(
+            res,
+            ResourceId::Bus | ResourceId::Device(0) | ResourceId::Device(1)
+        )));
 }
