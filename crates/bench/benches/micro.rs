@@ -1,6 +1,8 @@
 //! Microbenchmarks of the building blocks: embedding, policy decode,
-//! packing DP, exact solve on training-scale graphs, and the pipelined
-//! executor.
+//! packing DP, exact solve on training-scale graphs, the ILP-style
+//! branch-and-bound, and the pipelined executor.
+//!
+//! Run with `RESPECT_BENCH_BUDGET_MS=20` for a CI smoke pass.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use respect_bench::{bench_policy, PolicyScale};
@@ -8,6 +10,7 @@ use respect_core::embedding::{embed, EmbeddingConfig};
 use respect_core::DecodeMode;
 use respect_graph::{models, SyntheticConfig, SyntheticSampler};
 use respect_sched::exact::ExactScheduler;
+use respect_sched::ilp::IlpScheduler;
 use respect_sched::Scheduler;
 use respect_sched::{pack, CostModel};
 use respect_tpu::device::DeviceSpec;
@@ -28,6 +31,18 @@ fn bench_micro(c: &mut Criterion) {
 
     c.bench_function("pack_default/resnet50/4", |b| {
         b.iter(|| pack::pack_default(&dag, 4, &model))
+    });
+
+    let densenet = models::densenet201();
+    c.bench_function("pack_default/densenet201/6", |b| {
+        b.iter(|| pack::pack_default(&densenet, 6, &model))
+    });
+
+    // the device's cost model, under which the search is deep (~1.9 M nodes)
+    let xception = models::xception();
+    let ilp = IlpScheduler::new(DeviceSpec::coral().cost_model());
+    c.bench_function("ilp/xception/4", |b| {
+        b.iter(|| ilp.solve(&xception, 4).unwrap().nodes_explored)
     });
 
     let synth = SyntheticSampler::new(SyntheticConfig::paper(3), 9).sample();

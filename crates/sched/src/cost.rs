@@ -138,14 +138,15 @@ pub struct StageResources {
     pub cut_in_bytes: u64,
 }
 
-/// Incremental segment-cost accumulator shared by the packing DP, the
-/// greedy scheduler, and the exact solver.
+/// Incremental segment-cost accumulator shared by the greedy scheduler
+/// and the exact solver (the packing DP sums the same quantities inline
+/// over an [`order::SequenceTable`](crate::order::SequenceTable)).
 ///
 /// A segment is a set of nodes executed by one stage. Nodes are added one
 /// at a time; `cut_in_bytes` grows by the output size of every predecessor
 /// that is *outside* the segment (already scheduled on an earlier stage).
 /// Under this accounting the cost is **monotone nondecreasing** in segment
-/// growth, which the exact solver's pruning relies on.
+/// growth, which the exact solver's and the packing DP's pruning rely on.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SegmentAccumulator {
     /// Parameter bytes accumulated so far.

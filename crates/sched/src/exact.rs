@@ -24,8 +24,19 @@
 //! The result is provably optimal unless the optional time budget expires,
 //! in which case the incumbent is returned with
 //! [`ExactSolution::proven_optimal`] `= false` (mirroring an ILP solver's
-//! time-limited anytime behaviour). Tests certify optimality against
-//! exhaustive enumeration on small graphs.
+//! time-limited anytime behaviour). The budget is checked between
+//! boundaries and every 4,096 states inside one boundary's enumeration.
+//! Tests certify optimality against exhaustive enumeration on small
+//! graphs.
+//!
+//! The enumeration allocates only when a state enters the next frontier:
+//! candidates and woken nodes live on two reusable stacks, a completed
+//! graph is detected by a count test (`|boundary| + |segment| == |V|`),
+//! and `boundary ∪ segment` is built in a scratch set. None of this
+//! touches the search tree: every schedule, objective and
+//! [`ExactSolution::states_explored`] is what a per-state-allocating
+//! enumeration yields, and `tests/solver_agreement.rs` pins the state
+//! count on the Fig. 5 zoo.
 
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
@@ -54,15 +65,6 @@ impl NodeSet {
         }
     }
 
-    /// Full set over `n` nodes.
-    pub fn full(n: usize) -> Self {
-        let mut s = Self::empty(n);
-        for i in 0..n {
-            s.insert(NodeId(i as u32));
-        }
-        s
-    }
-
     /// Membership test.
     #[inline]
     pub fn contains(&self, v: NodeId) -> bool {
@@ -86,15 +88,15 @@ impl NodeSet {
         self.words.iter().map(|w| w.count_ones() as usize).sum()
     }
 
-    /// Union with another set of the same universe.
-    pub fn union(&self, other: &NodeSet) -> NodeSet {
-        NodeSet {
-            words: self
-                .words
-                .iter()
-                .zip(other.words.iter())
-                .map(|(a, b)| a | b)
-                .collect(),
+    /// Overwrites `self` with `a ∪ b` (all three of the same universe).
+    fn assign_union(&mut self, a: &NodeSet, b: &NodeSet) {
+        for ((w, x), y) in self
+            .words
+            .iter_mut()
+            .zip(a.words.iter())
+            .zip(b.words.iter())
+        {
+            *w = x | y;
         }
     }
 
@@ -232,16 +234,6 @@ impl ExactScheduler {
             }
         }
 
-        let total_params = dag.total_param_bytes();
-        let total_macs = dag.total_macs();
-        let full = NodeSet::full(n);
-
-        struct Entry {
-            bottleneck: f64,
-            covered_params: u64,
-            covered_macs: u64,
-        }
-
         let mut frontier: HashMap<NodeSet, Entry> = HashMap::new();
         frontier.insert(
             NodeSet::empty(n),
@@ -251,23 +243,30 @@ impl ExactScheduler {
                 covered_macs: 0,
             },
         );
-        // parent_of[k]: boundary after stage k -> boundary after stage k-1
-        let mut parent_of: Vec<HashMap<NodeSet, NodeSet>> = vec![HashMap::new(); num_stages + 1];
-
-        let mut states: u64 = 0;
-        let mut timed_out = false;
-
-        struct Dfs<'a> {
-            dag: &'a Dag,
-            model: &'a CostModel,
-            pos: &'a [usize],
-            ready: Vec<NodeId>,
-            indeg_rem: Vec<u32>,
-            seg: NodeSet,
-        }
+        let mut search = Search {
+            dag,
+            model: &self.model,
+            pos: &pos,
+            num_stages,
+            total_params: dag.total_param_bytes(),
+            total_macs: dag.total_macs(),
+            ready: Vec::new(),
+            indeg_rem: vec![0; n],
+            seg: NodeSet::empty(n),
+            seg_len: 0,
+            candidates: Vec::new(),
+            woken: Vec::new(),
+            scratch: NodeSet::empty(n),
+            ub,
+            best,
+            next: HashMap::new(),
+            parent_of: vec![HashMap::new(); num_stages + 1],
+            states: 0,
+            deadline: self.time_budget.and_then(|b| start_time.checked_add(b)),
+            timed_out: false,
+        };
 
         'stages: for k in 1..=num_stages {
-            let mut next: HashMap<NodeSet, Entry> = HashMap::new();
             let mut boundaries: Vec<(&NodeSet, &Entry)> = frontier.iter().collect();
             // expand promising boundaries first so ub tightens early; ties
             // break by boundary (descending), not by hash-map iteration order,
@@ -277,209 +276,227 @@ impl ExactScheduler {
                 by_bottleneck.expect("finite").then_with(|| b.0.cmp(a.0))
             });
             for (boundary, entry) in boundaries {
-                if entry.bottleneck >= ub {
+                if entry.bottleneck >= search.ub {
                     continue;
                 }
-                if let Some(budget) = self.time_budget {
-                    if start_time.elapsed() > budget {
-                        timed_out = true;
-                        break 'stages;
-                    }
+                if search.deadline.is_some_and(|d| Instant::now() > d) {
+                    search.timed_out = true;
+                    break 'stages;
                 }
-                // ready set of the residual DAG beyond `boundary`
-                let mut indeg_rem = vec![0u32; n];
-                let mut ready = Vec::new();
-                for v in dag.node_ids() {
-                    if boundary.contains(v) {
-                        continue;
-                    }
-                    let d = dag
-                        .preds(v)
-                        .iter()
-                        .filter(|&&p| !boundary.contains(p))
-                        .count() as u32;
-                    indeg_rem[v.index()] = d;
-                    if d == 0 {
-                        ready.push(v);
-                    }
-                }
-                let mut dfs = Dfs {
-                    dag,
-                    model: &self.model,
-                    pos: &pos,
-                    ready,
-                    indeg_rem,
-                    seg: NodeSet::empty(n),
-                };
-
-                // Recursive segment enumeration in canonical (topo-position)
-                // order; implemented iteratively-recursively via a closure
-                // stack to keep borrows simple.
-                #[allow(clippy::too_many_arguments)]
-                fn extend(
-                    dfs: &mut Dfs<'_>,
-                    boundary: &NodeSet,
-                    base_bottleneck: f64,
-                    covered_params: u64,
-                    covered_macs: u64,
-                    acc: SegmentAccumulator,
-                    last_pos: usize,
-                    k: usize,
-                    num_stages: usize,
-                    total_params: u64,
-                    total_macs: u64,
-                    full: &NodeSet,
-                    ub: &mut f64,
-                    best: &mut Schedule,
-                    next: &mut HashMap<NodeSet, Entry>,
-                    parent_of: &mut [HashMap<NodeSet, NodeSet>],
-                    states: &mut u64,
-                ) {
-                    let candidates: Vec<NodeId> = dfs
-                        .ready
-                        .iter()
-                        .copied()
-                        .filter(|&v| last_pos == usize::MAX || dfs.pos[v.index()] > last_pos)
-                        .collect();
-                    for v in candidates {
-                        let mut acc2 = acc;
-                        acc2.push(dfs.dag, v, |p| boundary.contains(p));
-                        let cost = acc2.cost(dfs.model);
-                        *states += 1;
-                        if cost >= *ub {
-                            continue; // monotone: no extension can recover
-                        }
-                        let nb = base_bottleneck.max(cost);
-
-                        // apply v
-                        let slot = dfs.ready.iter().position(|&r| r == v).expect("ready");
-                        dfs.ready.swap_remove(slot);
-                        dfs.seg.insert(v);
-                        let mut woken = Vec::new();
-                        for &s in dfs.dag.succs(v) {
-                            dfs.indeg_rem[s.index()] -= 1;
-                            if dfs.indeg_rem[s.index()] == 0 {
-                                dfs.ready.push(s);
-                                woken.push(s);
-                            }
-                        }
-
-                        let d2 = boundary.union(&dfs.seg);
-                        if d2 == *full {
-                            if nb < *ub {
-                                *ub = nb;
-                                // reconstruct: nodes beyond `boundary` are
-                                // stage k-1; walk parents for the rest.
-                                let mut stage_of = vec![0usize; dfs.dag.len()];
-                                for u in dfs.seg.iter() {
-                                    stage_of[u.index()] = k - 1;
-                                }
-                                let mut cur = boundary.clone();
-                                for j in (1..k).rev() {
-                                    let parent = parent_of[j].get(&cur).expect("chain").clone();
-                                    for u in cur.iter() {
-                                        if !parent.contains(u) {
-                                            stage_of[u.index()] = j - 1;
-                                        }
-                                    }
-                                    cur = parent;
-                                }
-                                *best =
-                                    Schedule::new(stage_of, num_stages).expect("stages in range");
-                            }
-                        } else if k < num_stages {
-                            // lower bound for the remainder
-                            let rest_params = total_params - covered_params - acc2.param_bytes;
-                            let rest_macs = total_macs - covered_macs - acc2.macs;
-                            let m = (num_stages - k) as u64;
-                            let spill = (rest_params / m).saturating_sub(dfs.model.cache_bytes);
-                            let lb_rest = dfs.model.sec_per_mac * (rest_macs / m) as f64
-                                + dfs.model.sec_per_byte * spill as f64;
-                            if nb.max(lb_rest) < *ub {
-                                let insert = match next.get(&d2) {
-                                    Some(e) => nb < e.bottleneck,
-                                    None => true,
-                                };
-                                if insert {
-                                    next.insert(
-                                        d2.clone(),
-                                        Entry {
-                                            bottleneck: nb,
-                                            covered_params: covered_params + acc2.param_bytes,
-                                            covered_macs: covered_macs + acc2.macs,
-                                        },
-                                    );
-                                    parent_of[k].insert(d2, boundary.clone());
-                                }
-                            }
-                        }
-
-                        extend(
-                            dfs,
-                            boundary,
-                            base_bottleneck,
-                            covered_params,
-                            covered_macs,
-                            acc2,
-                            dfs.pos[v.index()],
-                            k,
-                            num_stages,
-                            total_params,
-                            total_macs,
-                            full,
-                            ub,
-                            best,
-                            next,
-                            parent_of,
-                            states,
-                        );
-
-                        // undo v
-                        for &s in woken.iter().rev() {
-                            let wslot = dfs.ready.iter().position(|&r| r == s).expect("woken");
-                            dfs.ready.swap_remove(wslot);
-                        }
-                        for &s in dfs.dag.succs(v) {
-                            dfs.indeg_rem[s.index()] += 1;
-                        }
-                        dfs.seg.remove(v);
-                        dfs.ready.push(v);
-                    }
-                }
-
-                extend(
-                    &mut dfs,
-                    boundary,
-                    entry.bottleneck,
-                    entry.covered_params,
-                    entry.covered_macs,
-                    SegmentAccumulator::new(),
-                    usize::MAX,
+                let at = Boundary {
+                    set: boundary,
+                    len: boundary.count(),
                     k,
-                    num_stages,
-                    total_params,
-                    total_macs,
-                    &full,
-                    &mut ub,
-                    &mut best,
-                    &mut next,
-                    &mut parent_of,
-                    &mut states,
-                );
+                    entry,
+                };
+                search.enter(boundary);
+                search.extend(&at, SegmentAccumulator::new(), usize::MAX);
+                if search.timed_out {
+                    break 'stages;
+                }
             }
-            frontier = next;
+            frontier = std::mem::take(&mut search.next);
             if frontier.is_empty() {
                 break;
             }
         }
 
+        let best = search.best;
         debug_assert!(best.is_valid(dag));
         Ok(ExactSolution {
             objective: self.model.objective(dag, &best),
             schedule: best,
-            proven_optimal: !timed_out,
-            states_explored: states,
+            proven_optimal: !search.timed_out,
+            states_explored: search.states,
         })
+    }
+}
+
+/// What the frontier keeps per boundary: the best bottleneck reaching
+/// it and the resources it covers.
+struct Entry {
+    bottleneck: f64,
+    covered_params: u64,
+    covered_macs: u64,
+}
+
+/// The boundary whose segments (stage `k - 1`) are being enumerated.
+struct Boundary<'a> {
+    set: &'a NodeSet,
+    /// `|set|`, so a segment completes the graph when `len + |seg| == n`.
+    len: usize,
+    k: usize,
+    entry: &'a Entry,
+}
+
+/// Segment enumeration state. The candidate and woken-node lists of
+/// every open depth share one stack each (the deepest on top, truncated
+/// on return), so a state allocates only when it enters the frontier.
+struct Search<'a> {
+    dag: &'a Dag,
+    model: &'a CostModel,
+    pos: &'a [usize],
+    num_stages: usize,
+    total_params: u64,
+    total_macs: u64,
+    /// Ready set of the residual graph beyond boundary and segment.
+    ready: Vec<NodeId>,
+    indeg_rem: Vec<u32>,
+    seg: NodeSet,
+    seg_len: usize,
+    candidates: Vec<NodeId>,
+    woken: Vec<NodeId>,
+    /// Holds `boundary ∪ seg` while it is looked up in `next`.
+    scratch: NodeSet,
+    ub: f64,
+    best: Schedule,
+    /// Frontier of the next stage.
+    next: HashMap<NodeSet, Entry>,
+    /// `parent_of[k]`: boundary after stage k -> boundary after stage k-1.
+    parent_of: Vec<HashMap<NodeSet, NodeSet>>,
+    states: u64,
+    deadline: Option<Instant>,
+    timed_out: bool,
+}
+
+impl Search<'_> {
+    /// Resets the ready set and residual in-degrees to the graph beyond
+    /// `boundary`.
+    fn enter(&mut self, boundary: &NodeSet) {
+        self.ready.clear();
+        for v in self.dag.node_ids() {
+            if boundary.contains(v) {
+                continue;
+            }
+            let d = self
+                .dag
+                .preds(v)
+                .iter()
+                .filter(|&&p| !boundary.contains(p))
+                .count() as u32;
+            self.indeg_rem[v.index()] = d;
+            if d == 0 {
+                self.ready.push(v);
+            }
+        }
+    }
+
+    /// Grows the segment beyond `at` by every ready node after position
+    /// `last_pos` in turn (canonical order: each ideal extension once),
+    /// recording completions and new boundaries, then recursing.
+    fn extend(&mut self, at: &Boundary<'_>, acc: SegmentAccumulator, last_pos: usize) {
+        let first = self.candidates.len();
+        for &v in &self.ready {
+            if last_pos == usize::MAX || self.pos[v.index()] > last_pos {
+                self.candidates.push(v);
+            }
+        }
+        for c in first..self.candidates.len() {
+            let v = self.candidates[c];
+            let mut acc2 = acc;
+            acc2.push(self.dag, v, |p| at.set.contains(p));
+            let cost = acc2.cost(self.model);
+            self.states += 1;
+            if self.states.is_multiple_of(4096) && self.deadline.is_some_and(|d| Instant::now() > d)
+            {
+                self.timed_out = true;
+                break;
+            }
+            if cost >= self.ub {
+                continue; // monotone: no extension can recover
+            }
+            let nb = at.entry.bottleneck.max(cost);
+
+            // apply v
+            let slot = self.ready.iter().position(|&r| r == v).expect("ready");
+            self.ready.swap_remove(slot);
+            self.seg.insert(v);
+            self.seg_len += 1;
+            let woken_from = self.woken.len();
+            for &s in self.dag.succs(v) {
+                self.indeg_rem[s.index()] -= 1;
+                if self.indeg_rem[s.index()] == 0 {
+                    self.ready.push(s);
+                    self.woken.push(s);
+                }
+            }
+
+            if at.len + self.seg_len == self.dag.len() {
+                if nb < self.ub {
+                    self.ub = nb;
+                    self.best = self.reconstruct(at);
+                }
+            } else if at.k < self.num_stages {
+                // lower bound for the remainder
+                let covered_params = at.entry.covered_params + acc2.param_bytes;
+                let covered_macs = at.entry.covered_macs + acc2.macs;
+                let m = (self.num_stages - at.k) as u64;
+                let spill = ((self.total_params - covered_params) / m)
+                    .saturating_sub(self.model.cache_bytes);
+                let lb_rest = self.model.sec_per_mac
+                    * ((self.total_macs - covered_macs) / m) as f64
+                    + self.model.sec_per_byte * spill as f64;
+                if nb.max(lb_rest) < self.ub {
+                    self.scratch.assign_union(at.set, &self.seg);
+                    let insert = match self.next.get(&self.scratch) {
+                        Some(e) => nb < e.bottleneck,
+                        None => true,
+                    };
+                    if insert {
+                        let d2 = self.scratch.clone();
+                        self.next.insert(
+                            d2.clone(),
+                            Entry {
+                                bottleneck: nb,
+                                covered_params,
+                                covered_macs,
+                            },
+                        );
+                        self.parent_of[at.k].insert(d2, at.set.clone());
+                    }
+                }
+            }
+
+            self.extend(at, acc2, self.pos[v.index()]);
+
+            // undo v
+            for w in (woken_from..self.woken.len()).rev() {
+                let s = self.woken[w];
+                let wslot = self.ready.iter().position(|&r| r == s).expect("woken");
+                self.ready.swap_remove(wslot);
+            }
+            self.woken.truncate(woken_from);
+            for &s in self.dag.succs(v) {
+                self.indeg_rem[s.index()] += 1;
+            }
+            self.seg.remove(v);
+            self.seg_len -= 1;
+            self.ready.push(v);
+            if self.timed_out {
+                break;
+            }
+        }
+        self.candidates.truncate(first);
+    }
+
+    /// The schedule that puts the current segment on stage `at.k - 1`
+    /// and walks `parent_of` back for the stages before it.
+    fn reconstruct(&self, at: &Boundary<'_>) -> Schedule {
+        let mut stage_of = vec![0usize; self.dag.len()];
+        for u in self.seg.iter() {
+            stage_of[u.index()] = at.k - 1;
+        }
+        let mut cur = at.set;
+        for j in (1..at.k).rev() {
+            let parent = self.parent_of[j].get(cur).expect("chain");
+            for u in cur.iter() {
+                if !parent.contains(u) {
+                    stage_of[u.index()] = j - 1;
+                }
+            }
+            cur = parent;
+        }
+        Schedule::new(stage_of, self.num_stages).expect("stages in range")
     }
 }
 
@@ -532,7 +549,6 @@ mod tests {
         assert_eq!(ids, vec![NodeId(0), NodeId(64), NodeId(129)]);
         s.remove(NodeId(64));
         assert_eq!(s.count(), 2);
-        assert_eq!(NodeSet::full(130).count(), 130);
     }
 
     #[test]
@@ -684,5 +700,48 @@ mod tests {
             assert_eq!(a.objective.to_bits(), b.objective.to_bits(), "seed {seed}");
             assert_eq!(a.states_explored, b.states_explored, "seed {seed}: states");
         }
+    }
+
+    #[test]
+    fn time_budget_holds_inside_one_boundary() {
+        // a cold start enumerates every ideal of this graph from the empty
+        // boundary; the budget must cut that enumeration, not wait for it
+        let cfg = SyntheticConfig {
+            num_nodes: 60,
+            ..SyntheticConfig::default()
+        };
+        let dag = SyntheticSampler::new(cfg, 3).sample();
+        // the Coral device's cost model (10% sustained MAC utilization)
+        let model = CostModel {
+            sec_per_mac: 1.0 / (0.10 * 2.0e12),
+            ..CostModel::coral()
+        };
+        let solver = ExactScheduler::cold(model).with_time_budget(Duration::from_millis(50));
+        for stages in [4, 6] {
+            let started = Instant::now();
+            let sol = solver.solve(&dag, stages).unwrap();
+            assert!(
+                started.elapsed() < Duration::from_secs(1),
+                "{stages} stages took {:?}",
+                started.elapsed()
+            );
+            assert!(!sol.proven_optimal);
+            assert!(sol.schedule.is_valid(&dag));
+            assert_eq!(
+                sol.objective.to_bits(),
+                solver.model().objective(&dag, &sol.schedule).to_bits()
+            );
+        }
+    }
+
+    #[test]
+    fn unbounded_time_budget_is_no_deadline() {
+        let dag = small_dag(5, 10);
+        let sol = ExactScheduler::new(tiny_model())
+            .with_time_budget(Duration::MAX)
+            .solve(&dag, 3)
+            .unwrap();
+        assert!(sol.proven_optimal);
+        assert!(sol.schedule.is_valid(&dag));
     }
 }

@@ -11,16 +11,26 @@
 //! run it takes a time limit; within the limit the result is provably
 //! optimal, otherwise the incumbent is returned (anytime behaviour).
 //!
+//! The search walks the default order by *position*: it reads node
+//! resources and `(pred position, output_bytes)` lists from a flat
+//! [`SequenceTable`], computes a choice's added communication as
+//! `out_total - same_stage_out` (of the candidate stages `k ≥ k_min`,
+//! only `k_min` can hold a predecessor), and keeps every open depth's
+//! sorted choices on one shared stack instead of a `Vec` per node. The
+//! search tree is that of the node-id formulation kept as a test-only
+//! reference: same branching order, same schedule, objective and
+//! [`IlpSolution::nodes_explored`].
+//!
 //! Use [`crate::exact::ExactScheduler`] when you want the optimum fast;
 //! use this solver when you want the *solving-time profile* of the
 //! paper's CPLEX baseline (Fig. 3).
 
 use std::time::{Duration, Instant};
 
-use respect_graph::{Dag, NodeId};
+use respect_graph::Dag;
 
 use crate::cost::CostModel;
-use crate::order;
+use crate::order::{self, SequenceTable};
 use crate::schedule::{Schedule, ScheduleError};
 use crate::Scheduler;
 
@@ -80,8 +90,164 @@ impl IlpScheduler {
         }
         let n = dag.len();
         let sequence = order::default_order(dag);
+        let table = SequenceTable::new(dag, &sequence);
         let start = Instant::now();
 
+        let mut search = Search {
+            model: &self.model,
+            table: &table,
+            num_stages,
+            stage_at: vec![0; n],
+            params: vec![0; num_stages],
+            macs: vec![0; num_stages],
+            comm_in: vec![0; num_stages],
+            choices: Vec::new(),
+            incumbent: f64::INFINITY,
+            best: vec![0; n],
+            has_best: false,
+            nodes: 0,
+            deadline: self.time_budget.and_then(|b| start.checked_add(b)),
+            timed_out: false,
+        };
+        search.dfs(0, 0.0);
+
+        let mut stage_of = vec![0; n];
+        if search.has_best {
+            for (&v, &k) in sequence.iter().zip(&search.best) {
+                stage_of[v.index()] = k;
+            }
+        }
+        // otherwise the budget expired before the first dive completed
+        // (enormous graphs): fall back to everything-on-one-stage
+        let schedule = Schedule::new(stage_of, num_stages)?;
+        debug_assert!(schedule.is_valid(dag));
+        Ok(IlpSolution {
+            objective: self.model.objective(dag, &schedule),
+            schedule,
+            proven_optimal: !search.timed_out,
+            nodes_explored: search.nodes,
+        })
+    }
+}
+
+/// The branch-and-bound state, indexed by position in the default order.
+struct Search<'a> {
+    model: &'a CostModel,
+    table: &'a SequenceTable,
+    num_stages: usize,
+    /// Stage of each assigned position.
+    stage_at: Vec<usize>,
+    params: Vec<u64>,
+    macs: Vec<u64>,
+    comm_in: Vec<u64>,
+    /// `(bottleneck, stage, comm_add)` choices of every open depth, the
+    /// deepest on top; a depth truncates its own on return.
+    choices: Vec<(f64, usize, u64)>,
+    incumbent: f64,
+    best: Vec<usize>,
+    has_best: bool,
+    nodes: u64,
+    deadline: Option<Instant>,
+    timed_out: bool,
+}
+
+impl Search<'_> {
+    fn dfs(&mut self, idx: usize, bottleneck: f64) {
+        self.nodes += 1;
+        if self.nodes.is_multiple_of(4096) {
+            if let Some(deadline) = self.deadline {
+                if Instant::now() > deadline {
+                    self.timed_out = true;
+                }
+            }
+        }
+        if self.timed_out {
+            return;
+        }
+        if idx == self.table.len() {
+            if bottleneck < self.incumbent {
+                self.incumbent = bottleneck;
+                self.best.copy_from_slice(&self.stage_at);
+                self.has_best = true;
+            }
+            return;
+        }
+        let preds = self.table.preds(idx);
+        let k_min = preds
+            .iter()
+            .map(|&(p, _)| self.stage_at[p])
+            .max()
+            .unwrap_or(0);
+        // only predecessors on `k_min` itself can share a later choice's
+        // stage; every other stage pays for all incoming tensors
+        let (mut out_total, mut same_stage_out) = (0u64, 0u64);
+        for &(p, bytes) in preds {
+            out_total += bytes;
+            if self.stage_at[p] == k_min {
+                same_stage_out += bytes;
+            }
+        }
+        let (param_bytes, macs) = (self.table.param_bytes[idx], self.table.macs[idx]);
+        // evaluate all stage choices, branch best-first (greedy dives
+        // produce strong incumbents early, like MIP solvers)
+        let first = self.choices.len();
+        for k in k_min..self.num_stages {
+            let comm_add = if k == k_min {
+                out_total - same_stage_out
+            } else {
+                out_total
+            };
+            let cost = self.model.stage_cost(
+                self.params[k] + param_bytes,
+                self.macs[k] + macs,
+                self.comm_in[k] + comm_add,
+            );
+            let nb = bottleneck.max(cost);
+            if nb < self.incumbent {
+                self.choices.push((nb, k, comm_add));
+            }
+        }
+        self.choices[first..].sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite costs"));
+        for c in first..self.choices.len() {
+            let (nb, k, comm_add) = self.choices[c];
+            if nb >= self.incumbent || self.timed_out {
+                continue; // incumbent may have tightened
+            }
+            self.stage_at[idx] = k;
+            self.params[k] += param_bytes;
+            self.macs[k] += macs;
+            self.comm_in[k] += comm_add;
+            self.dfs(idx + 1, nb);
+            self.params[k] -= param_bytes;
+            self.macs[k] -= macs;
+            self.comm_in[k] -= comm_add;
+        }
+        self.choices.truncate(first);
+    }
+}
+
+impl Scheduler for IlpScheduler {
+    fn name(&self) -> &str {
+        "exact (ILP)"
+    }
+
+    fn schedule(&self, dag: &Dag, num_stages: usize) -> Result<Schedule, ScheduleError> {
+        Ok(self.solve(dag, num_stages)?.schedule)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::brute;
+    use crate::exact::ExactScheduler;
+    use respect_graph::{NodeId, SyntheticConfig, SyntheticSampler};
+
+    /// The node-id DFS with a choice `Vec` per branch-and-bound node,
+    /// kept as the oracle of [`IlpScheduler::solve`]: returns the stage
+    /// assignment, its bottleneck and the node count of an unbudgeted
+    /// search.
+    fn reference_solve(dag: &Dag, num_stages: usize, model: &CostModel) -> (Vec<usize>, f64, u64) {
         struct Ctx<'a> {
             dag: &'a Dag,
             model: &'a CostModel,
@@ -93,35 +259,16 @@ impl IlpScheduler {
             comm_in: Vec<u64>,
             incumbent: f64,
             best: Vec<usize>,
-            has_best: bool,
             nodes: u64,
-            deadline: Option<Instant>,
-            timed_out: bool,
         }
 
         impl Ctx<'_> {
-            fn stage_cost(&self, k: usize) -> f64 {
-                self.model
-                    .stage_cost(self.params[k], self.macs[k], self.comm_in[k])
-            }
-
             fn dfs(&mut self, idx: usize, bottleneck: f64) {
                 self.nodes += 1;
-                if self.nodes.is_multiple_of(4096) {
-                    if let Some(deadline) = self.deadline {
-                        if Instant::now() > deadline {
-                            self.timed_out = true;
-                        }
-                    }
-                }
-                if self.timed_out {
-                    return;
-                }
                 if idx == self.sequence.len() {
                     if bottleneck < self.incumbent {
                         self.incumbent = bottleneck;
                         self.best.copy_from_slice(&self.stage_of);
-                        self.has_best = true;
                     }
                     return;
                 }
@@ -133,8 +280,6 @@ impl IlpScheduler {
                     .map(|&p| self.stage_of[p.index()])
                     .max()
                     .unwrap_or(0);
-                // evaluate all stage choices, branch best-first (greedy
-                // dives produce strong incumbents early, like MIP solvers)
                 let node = self.dag.node(v);
                 let mut choices: Vec<(f64, usize, u64)> = Vec::new();
                 for k in k_min..self.num_stages {
@@ -156,14 +301,13 @@ impl IlpScheduler {
                 }
                 choices.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite costs"));
                 for (nb, k, comm_add) in choices {
-                    if nb >= self.incumbent || self.timed_out {
-                        continue; // incumbent may have tightened
+                    if nb >= self.incumbent {
+                        continue;
                     }
                     self.stage_of[v.index()] = k;
                     self.params[k] += node.param_bytes;
                     self.macs[k] += node.macs;
                     self.comm_in[k] += comm_add;
-                    let _ = self.stage_cost(k);
                     self.dfs(idx + 1, nb);
                     self.params[k] -= node.param_bytes;
                     self.macs[k] -= node.macs;
@@ -173,9 +317,11 @@ impl IlpScheduler {
             }
         }
 
+        let n = dag.len();
+        let sequence = order::default_order(dag);
         let mut ctx = Ctx {
             dag,
-            model: &self.model,
+            model,
             sequence: &sequence,
             num_stages,
             stage_of: vec![0; n],
@@ -184,47 +330,11 @@ impl IlpScheduler {
             comm_in: vec![0; num_stages],
             incumbent: f64::INFINITY,
             best: vec![0; n],
-            has_best: false,
             nodes: 0,
-            deadline: self.time_budget.map(|b| start + b),
-            timed_out: false,
         };
         ctx.dfs(0, 0.0);
-
-        let stage_of = if ctx.has_best {
-            ctx.best
-        } else {
-            // budget expired before the first dive completed (enormous
-            // graphs): fall back to everything-on-one-stage feasibility
-            vec![0; n]
-        };
-        let schedule = Schedule::new(stage_of, num_stages)?;
-        debug_assert!(schedule.is_valid(dag));
-        Ok(IlpSolution {
-            objective: self.model.objective(dag, &schedule),
-            schedule,
-            proven_optimal: !ctx.timed_out,
-            nodes_explored: ctx.nodes,
-        })
+        (ctx.best, ctx.incumbent, ctx.nodes)
     }
-}
-
-impl Scheduler for IlpScheduler {
-    fn name(&self) -> &str {
-        "exact (ILP)"
-    }
-
-    fn schedule(&self, dag: &Dag, num_stages: usize) -> Result<Schedule, ScheduleError> {
-        Ok(self.solve(dag, num_stages)?.schedule)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::brute;
-    use crate::exact::ExactScheduler;
-    use respect_graph::{SyntheticConfig, SyntheticSampler};
 
     fn tiny_model() -> CostModel {
         CostModel {
@@ -324,5 +434,43 @@ mod tests {
             IlpScheduler::new(tiny_model()).solve(&dag, 0),
             Err(ScheduleError::NoStages)
         ));
+    }
+
+    #[test]
+    fn position_search_matches_reference_dfs() {
+        for (seed, nodes) in (8..=16).enumerate() {
+            let dag = small_dag(100 + seed as u64, nodes);
+            for (model, stages) in [
+                (tiny_model(), 2),
+                (tiny_model(), 3),
+                (CostModel::coral(), 4),
+            ] {
+                let sol = IlpScheduler::new(model).solve(&dag, stages).unwrap();
+                let (stage_of, objective, nodes_explored) = reference_solve(&dag, stages, &model);
+                assert!(sol.proven_optimal);
+                assert_eq!(
+                    sol.schedule.stage_of(),
+                    stage_of.as_slice(),
+                    "{nodes} nodes"
+                );
+                assert_eq!(
+                    sol.objective.to_bits(),
+                    objective.to_bits(),
+                    "{nodes} nodes"
+                );
+                assert_eq!(sol.nodes_explored, nodes_explored, "{nodes} nodes");
+            }
+        }
+    }
+
+    #[test]
+    fn unbounded_time_budget_is_no_deadline() {
+        let dag = small_dag(5, 10);
+        let sol = IlpScheduler::new(tiny_model())
+            .with_time_budget(Duration::MAX)
+            .solve(&dag, 3)
+            .unwrap();
+        assert!(sol.proven_optimal);
+        assert!(sol.schedule.is_valid(&dag));
     }
 }

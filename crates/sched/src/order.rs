@@ -50,6 +50,71 @@ pub fn positions(dag: &Dag, order: &[NodeId]) -> Vec<usize> {
     pos
 }
 
+/// The resources of a `(dag, order)` pair laid out by sequence position:
+/// per-position `param_bytes` and `macs`, plus each position's
+/// predecessors as a CSR list of `(pred position, pred output_bytes)`.
+///
+/// Shared by the packing DP and the ILP-style search, whose inner loops
+/// then sum integers over flat arrays instead of chasing node ids.
+#[derive(Debug, Clone)]
+pub struct SequenceTable {
+    /// Parameter bytes of the node at each position.
+    pub param_bytes: Vec<u64>,
+    /// MACs of the node at each position.
+    pub macs: Vec<u64>,
+    pred_start: Vec<usize>,
+    preds: Vec<(usize, u64)>,
+}
+
+impl SequenceTable {
+    /// Builds the table of `order` over `dag`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `order` is not a permutation of the graph's nodes.
+    pub fn new(dag: &Dag, order: &[NodeId]) -> Self {
+        let pos = positions(dag, order);
+        let mut table = SequenceTable {
+            param_bytes: Vec::with_capacity(order.len()),
+            macs: Vec::with_capacity(order.len()),
+            pred_start: Vec::with_capacity(order.len() + 1),
+            preds: Vec::with_capacity(dag.edge_count()),
+        };
+        table.pred_start.push(0);
+        for &v in order {
+            let node = dag.node(v);
+            table.param_bytes.push(node.param_bytes);
+            table.macs.push(node.macs);
+            table.preds.extend(
+                dag.preds(v)
+                    .iter()
+                    .map(|&p| (pos[p.index()], dag.node(p).output_bytes)),
+            );
+            table.pred_start.push(table.preds.len());
+        }
+        table
+    }
+
+    /// Number of positions.
+    #[inline]
+    pub fn len(&self) -> usize {
+        self.param_bytes.len()
+    }
+
+    /// Whether the sequence is empty.
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.param_bytes.is_empty()
+    }
+
+    /// `(pred position, pred output_bytes)` of every predecessor of the
+    /// node at position `i`, in the graph's predecessor order.
+    #[inline]
+    pub fn preds(&self, i: usize) -> &[(usize, u64)] {
+        &self.preds[self.pred_start[i]..self.pred_start[i + 1]]
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -86,6 +151,28 @@ mod tests {
         let pos = positions(&dag, &order);
         for (i, &v) in order.iter().enumerate() {
             assert_eq!(pos[v.index()], i);
+        }
+    }
+
+    #[test]
+    fn sequence_table_mirrors_the_graph() {
+        let dag = SyntheticSampler::new(SyntheticConfig::paper(4), 11).sample();
+        let mut rng = StdRng::seed_from_u64(3);
+        let order = random_topo_order(&dag, &mut rng);
+        let pos = positions(&dag, &order);
+        let table = SequenceTable::new(&dag, &order);
+        assert_eq!(table.len(), dag.len());
+        for (i, &v) in order.iter().enumerate() {
+            let node = dag.node(v);
+            assert_eq!(table.param_bytes[i], node.param_bytes);
+            assert_eq!(table.macs[i], node.macs);
+            let want: Vec<_> = dag
+                .preds(v)
+                .iter()
+                .map(|&p| (pos[p.index()], dag.node(p).output_bytes))
+                .collect();
+            assert_eq!(table.preds(i), want.as_slice());
+            assert!(table.preds(i).iter().all(|&(p, _)| p < i));
         }
     }
 

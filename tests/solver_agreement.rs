@@ -124,3 +124,32 @@ fn packing_any_topological_order_is_feasible_and_repair_is_noop() {
     let repaired = repair::repair(&dag, schedule.stage_of(), 4, cfg).unwrap();
     assert_eq!(repaired.stage_of(), schedule.stage_of());
 }
+
+/// Search-effort pins: the ILP-style and exact searches must explore
+/// exactly the trees they explored before their inner loops were made
+/// allocation-free, and land on the same objectives.
+#[test]
+fn ilp_search_effort_is_pinned_on_xception() {
+    let model = respect::tpu::DeviceSpec::coral().cost_model();
+    let sol = ilp::IlpScheduler::new(model)
+        .solve(&respect::graph::models::xception(), 4)
+        .unwrap();
+    assert!(sol.proven_optimal);
+    assert_eq!(sol.nodes_explored, 1_934_085);
+    assert_eq!(sol.objective.to_bits(), 0x3f5e_0157_eed4_5e91);
+}
+
+#[test]
+fn exact_search_effort_is_pinned_on_the_fig5_zoo() {
+    let model = respect::tpu::DeviceSpec::coral().cost_model();
+    let solver = exact::ExactScheduler::new(model);
+    let mut states = 0;
+    for (name, dag) in respect::graph::models::fig5() {
+        for stages in [4, 5, 6] {
+            let sol = solver.solve(&dag, stages).unwrap();
+            assert!(sol.proven_optimal, "{name}@{stages}");
+            states += sol.states_explored;
+        }
+    }
+    assert_eq!(states, 733_782);
+}
