@@ -4,7 +4,9 @@
 //!   LSTM/attention step per graph) vs. the batched engine
 //!   (`rollout_batch` / `decode_batch`: one op per step for the whole
 //!   minibatch). Reported per full batch; divide the batch size by the
-//!   time per iteration for graphs/sec. A zoo-scale row decodes
+//!   time per iteration for graphs/sec. The `16x20/h32` row is the
+//!   reference benchmark's `offline-zoo` training shape (16-graph batches
+//!   of 20-node graphs, hidden size 32). A zoo-scale row decodes
 //!   ResNet152 (|V| = 517) greedily, where the frontier-only attention's
 //!   `O(frontier · h)` step shows against the graph size.
 //! * **local-search cost evaluation** — full `stage_costs` re-aggregation
@@ -59,6 +61,30 @@ fn bench_rollout(c: &mut Criterion) {
                 .map(|g| DecodeMode::sample_seeded(g as u64))
                 .collect();
             black_box(policy.rollout_batch(&mut tape, &bindings, &refs, &mut modes));
+        })
+    });
+    // the offline-zoo training shape
+    let small = PtrNetPolicy::new(PolicyConfig::small(32));
+    let zoo: Vec<(Dag, Matrix)> = (0..16)
+        .map(|i| {
+            let config = SyntheticConfig {
+                num_nodes: 20,
+                ..SyntheticConfig::paper(2 + i % 5)
+            };
+            let dag = SyntheticSampler::new(config, 100 + i as u64).sample();
+            let feats = embed(&dag, &small.config().embedding);
+            (dag, feats)
+        })
+        .collect();
+    let zoo_refs: Vec<(&Dag, &Matrix)> = zoo.iter().map(|(d, f)| (d, f)).collect();
+    group.bench_function("batched/16x20/h32", |b| {
+        b.iter(|| {
+            let mut tape = Tape::new();
+            let bindings = small.bind(&mut tape);
+            let mut modes: Vec<DecodeMode> = (0..16)
+                .map(|g| DecodeMode::sample_seeded(g as u64))
+                .collect();
+            black_box(small.rollout_batch(&mut tape, &bindings, &zoo_refs, &mut modes));
         })
     });
     group.finish();

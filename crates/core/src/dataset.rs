@@ -9,7 +9,9 @@
 
 use respect_graph::{Dag, NodeId, SyntheticConfig, SyntheticSampler};
 use respect_sched::exact::ExactScheduler;
-use respect_sched::{CostModel, Schedule, ScheduleError};
+use respect_sched::{CostModel, Schedule};
+
+use crate::train::TrainError;
 
 /// One labelled training example.
 #[derive(Debug, Clone)]
@@ -73,8 +75,14 @@ impl TeacherDataset {
     ///
     /// # Errors
     ///
-    /// Propagates solver errors (zero stages).
-    pub fn generate(config: &DatasetConfig, model: &CostModel) -> Result<Self, ScheduleError> {
+    /// [`TrainError::InvalidDegrees`] if `config.degrees` is empty or
+    /// holds a zero; otherwise propagates solver errors (zero stages).
+    pub fn generate(config: &DatasetConfig, model: &CostModel) -> Result<Self, TrainError> {
+        if config.degrees.is_empty() || config.degrees.contains(&0) {
+            return Err(TrainError::InvalidDegrees {
+                degrees: config.degrees.clone(),
+            });
+        }
         let solver = ExactScheduler::new(*model).with_warmstart_moves(200);
         let mut samplers: Vec<SyntheticSampler> = config
             .degrees

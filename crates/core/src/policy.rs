@@ -17,10 +17,20 @@
 //! * the first decoder input `dec0` is a trainable parameter, exactly as
 //!   in the paper.
 //!
-//! Two execution paths share the same weights: a tape-based
-//! [`PtrNetPolicy::rollout`] for REINFORCE training, and a gradient-free
-//! [`PtrNetPolicy::decode`] used at deployment (this is what Fig. 3 times
-//! as RESPECT's solving time).
+//! Two execution paths share the same weights: a tape-based rollout for
+//! REINFORCE training, and a gradient-free [`PtrNetPolicy::decode`] used
+//! at deployment (this is what Fig. 3 times as RESPECT's solving time).
+//! Training runs [`PtrNetPolicy::rollout_batch`]; the serial, densely
+//! masked [`PtrNetPolicy::rollout`] is its reference implementation.
+//!
+//! Both batched paths attend over each graph's **ready frontier** only:
+//! the nodes the mask leaves open, in ascending index order. A masked
+//! node's softmax weight, its log-softmax gradient and every gradient
+//! behind them are exactly `0.0`, and dropping an exact-zero term from an
+//! in-order `f32` sum leaves the sum's bits unchanged. So skipping masked
+//! nodes keeps every choice, log-probability and gradient bit-identical
+//! to attending over all `n` nodes, at `O(frontier · h)` per step instead
+//! of `O(n · h)`.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -29,7 +39,7 @@ use serde::{Deserialize, Serialize};
 use respect_graph::{Dag, NodeId};
 use respect_nn::attention::AttentionSpec;
 use respect_nn::lstm::LstmSpec;
-use respect_nn::tape::{Tape, Var};
+use respect_nn::tape::{softmax_in_place, Tape, Var};
 use respect_nn::{init, Bindings, Matrix, Params};
 
 use crate::embedding::EmbeddingConfig;
@@ -217,7 +227,8 @@ impl PtrNetPolicy {
             let g = glimpse.glimpse(tape, context, proj_g, state.h, mask.as_slice());
             let scores = pointer.scores(tape, proj_p, g);
             let logp = tape.log_softmax_masked(scores, mask.as_slice());
-            let idx = pick_logp(mode, tape.value(logp), 0, &mask.ready);
+            let lane = mask.ready.iter().map(|&i| tape.value(logp).get(i, 0));
+            let idx = mask.ready[pick_logp(mode, lane.collect())];
             let lp = tape.pick(logp, idx);
             log_prob_total = Some(match log_prob_total {
                 None => lp,
@@ -235,10 +246,14 @@ impl PtrNetPolicy {
     }
 
     /// Differentiable **batched** rollout: decodes `B` equal-sized graphs
-    /// in lock step, one tape op per decoding step for the whole batch
-    /// instead of one per graph. Each graph consumes its own
-    /// [`DecodeMode`] (`modes[g]`), so per-graph results — sequences and
-    /// log-probabilities alike — are identical to `B` serial
+    /// in lock step, one set of tape ops per decoding step for the whole
+    /// batch instead of one per graph. Both attentions score only each
+    /// lane's ready frontier: its columns are gathered lane-major into one
+    /// `[h, F]` matrix, so cross-lane gradient sums (e.g. of the score
+    /// vector `v`) keep the order a dense `[h, B·n]` matrix would give
+    /// them. Each graph consumes its own [`DecodeMode`] (`modes[g]`), so
+    /// per-graph results — sequences, log-probabilities and gradients
+    /// alike — are identical to `B` serial
     /// [`rollout`](PtrNetPolicy::rollout) calls with the same modes (the
     /// determinism tests pin this).
     ///
@@ -302,38 +317,45 @@ impl PtrNetPolicy {
         let proj_g = glimpse.project_context(tape, context);
         let proj_p = pointer.project_context(tape, context);
 
-        // decode with pointing, one batched step per output position
+        // decode with pointing, one batched step per output position; both
+        // attentions run over each lane's ready frontier only, its columns
+        // `cols` lane-major with lane offsets `seg`
         let mut masks: Vec<MaskState> = items.iter().map(|(dag, _)| self.mask_init(dag)).collect();
         let dec0 = bindings.var("dec0");
         let mut d = tape.concat_cols(&vec![dec0; b]); // [h, B]
         let mut state = enc_last;
         let mut sequences = vec![Vec::with_capacity(n); b];
         let mut log_prob_total: Option<Var> = None;
-        let mut flat_masks = vec![false; b * n];
+        let (mut cols, mut seg) = (Vec::new(), Vec::with_capacity(b + 1));
         for _ in 0..n {
             state = dec.step_batch(tape, d, state);
+            cols.clear();
+            seg.clear();
+            seg.push(0);
             for (g, mask) in masks.iter().enumerate() {
-                flat_masks[g * n..(g + 1) * n].copy_from_slice(mask.as_slice());
+                cols.extend(mask.ready.iter().map(|&i| g * n + i));
+                seg.push(cols.len());
             }
-            let g = glimpse.glimpse_batch(tape, context, proj_g, state.h, n, &flat_masks);
-            let scores = pointer.scores_batch(tape, proj_p, g, n);
-            let logp = tape.log_softmax_masked_cols(scores, &flat_masks);
-            let mut choices = Vec::with_capacity(b);
-            for (g, (mode, mask)) in modes.iter_mut().zip(&masks).enumerate() {
-                choices.push(pick_logp(mode, tape.value(logp), g, &mask.ready));
-            }
-            let lp = tape.pick_cols(logp, &choices); // [1, B]
-            log_prob_total = Some(match log_prob_total {
-                None => lp,
-                Some(acc) => tape.add(acc, lp),
-            });
+            let g = glimpse.frontier_glimpse(tape, context, proj_g, state.h, &cols, &seg);
+            let scores = pointer.frontier_scores(tape, proj_p, g, &cols, &seg);
+            let logp = tape.log_softmax_segments(scores, &seg); // [1, F]
+            let mut picks = Vec::with_capacity(b);
             let mut next_cols = Vec::with_capacity(b);
-            for (g, &idx) in choices.iter().enumerate() {
+            for (g, mode) in modes.iter_mut().enumerate() {
+                let lane = &tape.value(logp).as_slice()[seg[g]..seg[g + 1]];
+                let k = pick_logp(mode, lane.to_vec());
+                picks.push(seg[g] + k);
+                let idx = masks[g].ready[k];
                 let v = NodeId(idx as u32);
                 sequences[g].push(v);
                 masks[g].emit(items[g].0, v);
                 next_cols.push(g * n + idx);
             }
+            let lp = tape.gather_cols(logp, &picks); // [1, B]
+            log_prob_total = Some(match log_prob_total {
+                None => lp,
+                Some(acc) => tape.add(acc, lp),
+            });
             d = tape.gather_cols(projected, &next_cols);
         }
         BatchRollout {
@@ -419,7 +441,7 @@ impl PtrNetPolicy {
             let q = glimpse.query(&hx.transpose());
             for (g, mask) in masks.iter().enumerate() {
                 glimpse.frontier_scores(&g_ref, &q, g, &mask.ready, &mut scores);
-                softmax(&mut scores);
+                softmax_in_place(&mut scores);
                 let mix = &mut gl.as_mut_slice()[g * h..(g + 1) * h];
                 mix.fill(0.0);
                 for (&i, &w) in mask.ready.iter().zip(&scores) {
@@ -434,7 +456,7 @@ impl PtrNetPolicy {
             for (g, mode) in modes.iter_mut().enumerate() {
                 let ready = &masks[g].ready;
                 pointer.frontier_scores(&p_ref, &q, g, ready, &mut scores);
-                let idx = ready[mode.pick(&mut scores, softmax)];
+                let idx = ready[mode.pick(&mut scores, softmax_in_place)];
                 let v = NodeId(idx as u32);
                 sequences[g].push(v);
                 masks[g].emit(items[g].0, v);
@@ -522,26 +544,10 @@ impl DecodeMode {
     }
 }
 
-/// Picks among the candidates `ready` by their normalized log-probabilities
-/// in column `col` of `logp` (the tape rollouts' choice).
-fn pick_logp(mode: &mut DecodeMode, logp: &Matrix, col: usize, ready: &[usize]) -> usize {
-    let mut values: Vec<f32> = ready.iter().map(|&i| logp.get(i, col)).collect();
-    ready[mode.pick(&mut values, |lp| lp.iter_mut().for_each(|x| *x = x.exp()))]
-}
-
-/// In-place softmax of candidate scores, reduced in slice order: bit for
-/// bit [`masked_softmax`](respect_nn::tape::masked_softmax)'s values at the
-/// same unmasked entries.
-fn softmax(x: &mut [f32]) {
-    let mx = x.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-    let mut z = 0.0f32;
-    for e in x.iter_mut() {
-        *e = (*e - mx).exp();
-        z += *e;
-    }
-    for e in x.iter_mut() {
-        *e /= z;
-    }
+/// Picks a position among the candidates' normalized log-probabilities
+/// `logp`, in ascending node order (the tape rollouts' choice).
+fn pick_logp(mode: &mut DecodeMode, mut logp: Vec<f32>) -> usize {
+    mode.pick(&mut logp, |lp| lp.iter_mut().for_each(|x| *x = x.exp()))
 }
 
 /// Row `i` of a row-major matrix.

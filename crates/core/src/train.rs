@@ -16,8 +16,9 @@
 //! Optimization uses Adam at the paper's learning rate by default.
 //!
 //! Rollouts are **batched**: every gradient step decodes its whole
-//! minibatch through [`PtrNetPolicy::rollout_batch`] (one tape op per
-//! decoding step for the batch instead of one per graph), and
+//! minibatch through [`PtrNetPolicy::rollout_batch`] (one set of tape ops
+//! per decoding step for the batch instead of one per graph, with both
+//! attentions over each graph's ready frontier only), and
 //! [`TrainConfig::num_threads`] optionally shards the batch across scoped
 //! worker threads. Per-graph sampling streams are independent, so sampled
 //! sequences do not depend on the thread count; results are bitwise
@@ -137,12 +138,25 @@ impl TrainConfig {
 pub enum TrainError {
     /// Teacher generation failed.
     Dataset(ScheduleError),
+    /// [`TrainConfig::batch_size`] is zero.
+    ZeroBatch,
+    /// [`DatasetConfig::degrees`] is empty or holds a zero in-degree.
+    InvalidDegrees {
+        /// The rejected degree classes.
+        degrees: Vec<usize>,
+    },
 }
 
 impl fmt::Display for TrainError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             TrainError::Dataset(e) => write!(f, "dataset generation failed: {e}"),
+            TrainError::ZeroBatch => write!(f, "batch_size must be at least 1, got 0"),
+            TrainError::InvalidDegrees { degrees } => write!(
+                f,
+                "dataset degrees must list at least one maximum in-degree, each \
+                 at least 1 (the paper uses [2, 3, 4, 5, 6]), got {degrees:?}"
+            ),
         }
     }
 }
@@ -151,6 +165,7 @@ impl Error for TrainError {
     fn source(&self) -> Option<&(dyn Error + 'static)> {
         match self {
             TrainError::Dataset(e) => Some(e),
+            TrainError::ZeroBatch | TrainError::InvalidDegrees { .. } => None,
         }
     }
 }
@@ -196,7 +211,8 @@ fn mean(xs: &[f64]) -> f64 {
 ///
 /// # Errors
 ///
-/// Propagates dataset-generation failures.
+/// Rejects invalid configs and propagates dataset-generation failures
+/// (see [`Trainer::new`]).
 pub fn train_policy(config: &TrainConfig) -> Result<PtrNetPolicy, TrainError> {
     let mut trainer = Trainer::new(config.clone())?;
     trainer.run()?;
@@ -223,8 +239,13 @@ impl Trainer {
     ///
     /// # Errors
     ///
-    /// Propagates dataset-generation failures.
+    /// [`TrainError::ZeroBatch`] for a zero batch size,
+    /// [`TrainError::InvalidDegrees`] for unusable degree classes;
+    /// otherwise propagates dataset-generation failures.
     pub fn new(config: TrainConfig) -> Result<Self, TrainError> {
+        if config.batch_size == 0 {
+            return Err(TrainError::ZeroBatch);
+        }
         let dataset = TeacherDataset::generate(&config.dataset, &config.cost_model)?;
         let policy = PtrNetPolicy::new(config.policy);
         let optimizer = Adam::new(config.learning_rate);
@@ -504,6 +525,32 @@ mod tests {
         let mut trainer = Trainer::new(cfg).unwrap();
         trainer.run().unwrap();
         assert_ne!(&before, trainer.policy().params());
+    }
+
+    #[test]
+    fn zero_batch_size_is_rejected_instead_of_looping() {
+        // regression: `run` never advanced past an empty batch
+        let mut cfg = TrainConfig::smoke_test();
+        cfg.batch_size = 0;
+        let err = Trainer::new(cfg).unwrap_err();
+        assert!(matches!(err, TrainError::ZeroBatch), "{err:?}");
+        assert!(err.to_string().contains("at least 1"), "{err}");
+    }
+
+    #[test]
+    fn empty_degree_classes_are_rejected_instead_of_panicking() {
+        // regression: generation took `i % degrees.len()` of an empty list,
+        // and a zero in-degree class sampled from an empty range
+        for degrees in [vec![], vec![2, 0]] {
+            let mut cfg = TrainConfig::smoke_test();
+            cfg.dataset.degrees = degrees.clone();
+            let err = train_policy(&cfg).unwrap_err();
+            assert!(
+                matches!(&err, TrainError::InvalidDegrees { degrees: d } if *d == degrees),
+                "{err:?}"
+            );
+            assert!(err.to_string().contains("[2, 3, 4, 5, 6]"), "{err}");
+        }
     }
 
     #[test]

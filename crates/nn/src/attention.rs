@@ -111,34 +111,45 @@ impl AttentionHead {
         tape.matmul(context, p)
     }
 
-    /// Batched scores: `projected` stacks `B` projected contexts
-    /// graph-major (`[d, B*n]`), `q` holds one query column per graph
-    /// (`[d, B]`); returns `[n, B]` whose column `g` equals
-    /// [`scores`](AttentionHead::scores) on graph `g` alone.
-    pub fn scores_batch(&self, tape: &mut Tape, projected: Var, q: Var, n: usize) -> Var {
+    /// Batched scores over lane segments: scores columns `cols` of
+    /// `projected` (lane-major; lane `g` owns `cols[seg[g]..seg[g + 1]]`)
+    /// against lane `g`'s query, column `g` of `q` (`[d, B]`). Returns the
+    /// `[1, F]` score row, `F = cols.len()`, whose entry `j` equals
+    /// [`scores`](AttentionHead::scores) of its lane at column `cols[j]`.
+    pub fn frontier_scores(
+        &self,
+        tape: &mut Tape,
+        projected: Var,
+        q: Var,
+        cols: &[usize],
+        seg: &[usize],
+    ) -> Var {
         let qp = tape.matmul(self.w_q, q);
         let qb = tape.add_col_broadcast(qp, self.b);
-        let s = tape.add_block_broadcast(projected, qb, n);
+        let refs = tape.gather_cols(projected, cols);
+        let s = tape.add_segment_broadcast(refs, qb, seg);
         let u = tape.tanh(s);
-        let row = tape.matmul_ta(self.v, u); // [1, B*n]
-        tape.unflatten_row(row, n)
+        tape.matmul_ta(self.v, u)
     }
 
-    /// Batched glimpse over stacked contexts (`context`, `projected` are
-    /// `[d, B*n]`; `masks[g*n + i]` masks node `i` of graph `g`); returns
-    /// `[d, B]` with one refined query column per graph.
-    pub fn glimpse_batch(
+    /// Batched glimpse over lane segments (see
+    /// [`frontier_scores`](AttentionHead::frontier_scores)): each lane
+    /// attends over only its own columns of `context`. Returns `[d, B]`
+    /// with one refined query column per lane, equal to
+    /// [`glimpse`](AttentionHead::glimpse) with every other column masked.
+    pub fn frontier_glimpse(
         &self,
         tape: &mut Tape,
         context: Var,
         projected: Var,
         q: Var,
-        n: usize,
-        masks: &[bool],
+        cols: &[usize],
+        seg: &[usize],
     ) -> Var {
-        let u = self.scores_batch(tape, projected, q, n);
-        let p = tape.softmax_masked_cols(u, masks);
-        tape.block_matvec(context, p)
+        let u = self.frontier_scores(tape, projected, q, cols, seg);
+        let p = tape.softmax_segments(u, seg);
+        let c = tape.gather_cols(context, cols);
+        tape.segment_matvec(c, p, seg)
     }
 }
 
@@ -223,40 +234,37 @@ mod tests {
         let (params, spec) = head_fixture(3);
         let n = 4;
         let ctx_a = context(3, n);
-        let ctx_b = {
-            let mut m = context(3, n);
-            for i in 0..m.rows() * m.cols() {
-                m.as_mut_slice()[i] *= -0.5;
-            }
-            m
-        };
+        let ctx_b = ctx_a.map(|x| -0.5 * x);
         let queries = [[0.2f32, -0.4, 0.8], [-0.1, 0.6, 0.0]];
         let masks = [vec![false, true, false, false], vec![false; 4]];
 
-        // batched pass: contexts stacked graph-major, queries as columns
+        // batched pass: contexts side by side (graph g owns columns
+        // g*n..(g+1)*n), each lane attending over its unmasked columns
         let mut tape = Tape::new();
         let binds = params.bind(&mut tape);
         let head = spec.bind(&binds);
-        let mut stacked = Matrix::zeros(3, 2 * n);
-        for (g, ctx) in [&ctx_a, &ctx_b].iter().enumerate() {
-            for r in 0..3 {
-                for i in 0..n {
-                    stacked.set(r, g * n + i, ctx.get(r, i));
-                }
-            }
-        }
+        let stacked = Matrix::from_vec(
+            3,
+            2 * n,
+            (0..3)
+                .flat_map(|r| {
+                    let (a, b) = (&ctx_a.as_slice()[r * n..], &ctx_b.as_slice()[r * n..]);
+                    [&a[..n], &b[..n]].concat()
+                })
+                .collect(),
+        );
         let c = tape.leaf(stacked);
-        let mut q = Matrix::zeros(3, 2);
-        for (g, col) in queries.iter().enumerate() {
-            for (r, &v) in col.iter().enumerate() {
-                q.set(r, g, v);
-            }
-        }
+        let q = Matrix::from_vec(3, 2, (0..3).flat_map(|r| queries.map(|q| q[r])).collect());
         let qv = tape.leaf(q);
+        let mut cols = Vec::new();
+        let mut seg = vec![0];
+        for (g, mask) in masks.iter().enumerate() {
+            cols.extend((0..n).filter(|&i| !mask[i]).map(|i| g * n + i));
+            seg.push(cols.len());
+        }
         let proj = head.project_context(&mut tape, c);
-        let scores = head.scores_batch(&mut tape, proj, qv, n);
-        let flat_masks: Vec<bool> = masks.iter().flatten().copied().collect();
-        let glimpse = head.glimpse_batch(&mut tape, c, proj, qv, n, &flat_masks);
+        let scores = head.frontier_scores(&mut tape, proj, qv, &cols, &seg);
+        let glimpse = head.frontier_glimpse(&mut tape, c, proj, qv, &cols, &seg);
 
         for (g, ctx) in [&ctx_a, &ctx_b].iter().enumerate() {
             let mut t = Tape::new();
@@ -267,11 +275,11 @@ mod tests {
             let p1 = h.project_context(&mut t, cv);
             let u1 = h.scores(&mut t, p1, qv1);
             let g1 = h.glimpse(&mut t, cv, p1, qv1, &masks[g]);
-            for i in 0..n {
+            for (j, &c) in cols.iter().enumerate().take(seg[g + 1]).skip(seg[g]) {
                 assert_eq!(
-                    tape.value(scores).get(i, g).to_bits(),
-                    t.value(u1).get(i, 0).to_bits(),
-                    "score {i} of graph {g}"
+                    tape.value(scores).get(0, j).to_bits(),
+                    t.value(u1).get(c - g * n, 0).to_bits(),
+                    "score {j} of graph {g}"
                 );
             }
             for r in 0..3 {

@@ -6,8 +6,8 @@
 //!
 //! * [`tensor::Matrix`] — a dense row-major `f32` matrix;
 //! * [`tape`] — reverse-mode automatic differentiation on a tape of ops
-//!   (matmul, elementwise nonlinearities, masked softmax/log-softmax,
-//!   slicing/concat for LSTM gates, ...);
+//!   (matmul, elementwise nonlinearities, masked and per-lane-segment
+//!   softmax/log-softmax, slicing/concat for LSTM gates, ...);
 //! * [`lstm`] — LSTM cells with forget-gate bias initialization;
 //! * [`attention`] — additive (Bahdanau-style) attention primitives used
 //!   for the glimpse and the pointer head;

@@ -8,6 +8,10 @@
 //! of the nodes that appeared in the solution are set to −∞"), and scalar
 //! reductions for the REINFORCE loss.
 //!
+//! Batched rollouts use the lane-segment ops instead of masks: each lane
+//! gathers only its unmasked columns, so masked nodes never enter the
+//! attention ops (see the batched-primitives section below).
+//!
 //! Gradients are checked against central finite differences in this
 //! module's tests, op by op and through a full LSTM + attention chain.
 
@@ -20,7 +24,7 @@ pub struct Var(usize);
 /// Large negative logit standing in for −∞; keeps softmax NaN-free.
 pub const NEG_INF_LOGIT: f32 = -1.0e9;
 
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 enum Op {
     Leaf,
     MatMul(Var, Var),
@@ -42,14 +46,12 @@ enum Op {
     SoftmaxMaskedCol(Var, Vec<bool>),
     LogSoftmaxMaskedCol(Var, Vec<bool>),
     Pick(Var, usize),
-    // batched primitives (one column per batch lane)
+    // batched primitives (lane columns and lane segments)
     GatherCols(Var, Vec<usize>),
-    AddBlockBroadcast(Var, Var, usize),
-    UnflattenRow(Var, usize),
-    SoftmaxMaskedCols(Var, Vec<bool>),
-    LogSoftmaxMaskedCols(Var, Vec<bool>),
-    PickCols(Var, Vec<usize>),
-    BlockMatVec(Var, Var),
+    AddSegmentBroadcast(Var, Var, Vec<usize>),
+    SoftmaxSegments(Var, Vec<usize>),
+    LogSoftmaxSegments(Var, Vec<usize>),
+    SegmentMatVec(Var, Var, Vec<usize>),
 }
 
 #[derive(Debug)]
@@ -325,12 +327,14 @@ impl Tape {
 
     // --- batched primitives ------------------------------------------------
     //
-    // These operate on matrices whose columns are batch lanes: a batch of
-    // `B` graphs with `n` nodes each is laid out either as `[h, B]` (one
-    // state column per graph) or as a graph-major block matrix `[h, B*n]`
-    // (columns `g*n..(g+1)*n` belong to graph `g`). Per-column arithmetic
-    // matches the unbatched ops exactly (same accumulation order), so a
-    // batched decode reproduces the serial decode bit for bit.
+    // A batch of `B` lanes (graphs) is laid out either as `[h, B]`, one
+    // state column per lane, or as lane **segments**: the columns of an
+    // `[h, F]` (or `[1, F]`) matrix grouped lane-major, lane `g` owning
+    // columns `seg[g]..seg[g + 1]` (`seg` has `B + 1` nondecreasing
+    // offsets from `0` to `F`). The rollout's segments are each lane's
+    // ready frontier. Per-lane arithmetic matches the unbatched ops
+    // exactly (same terms, same accumulation order), so a batched rollout
+    // reproduces the serial one bit for bit.
 
     /// Gathers columns `cols[j]` of `a` into a new `[rows, cols.len()]`
     /// matrix (e.g. one node embedding per batch lane); the forward
@@ -344,116 +348,95 @@ impl Tape {
         self.push(out, Op::GatherCols(a, cols.to_vec()))
     }
 
-    /// Adds column `g` of `q` (`[h, B]`) to every column of block `g` of
-    /// `m` (`[h, B*block]`) — the batched form of
+    /// Adds column `g` of `q` (`[h, B]`) to every column of segment `g` of
+    /// `m` (`[h, F]`) — the segmented form of
     /// [`add_col_broadcast`](Tape::add_col_broadcast).
     ///
     /// # Panics
     ///
-    /// Panics unless `m.cols() == q.cols() * block` and heights match.
-    pub fn add_block_broadcast(&mut self, m: Var, q: Var, block: usize) -> Var {
+    /// Panics unless heights match and `seg` segments `m` into `q.cols()`
+    /// lanes.
+    pub fn add_segment_broadcast(&mut self, m: Var, q: Var, seg: &[usize]) -> Var {
         let (mm, qq) = (&self.nodes[m.0].value, &self.nodes[q.0].value);
         assert_eq!(mm.rows(), qq.rows(), "broadcast height mismatch");
-        assert_eq!(mm.cols(), qq.cols() * block, "block count mismatch");
+        assert_eq!(seg.len(), qq.cols() + 1, "one segment per lane");
+        check_segments(seg, mm.cols());
         let mut out = mm.clone();
-        for r in 0..out.rows() {
-            for g in 0..qq.cols() {
+        let f = out.cols();
+        for (r, orow) in out.as_mut_slice().chunks_exact_mut(f.max(1)).enumerate() {
+            for (g, lane) in seg.windows(2).enumerate() {
                 let b = qq.get(r, g);
-                for i in 0..block {
-                    let c = g * block + i;
-                    out.set(r, c, out.get(r, c) + b);
+                for o in &mut orow[lane[0]..lane[1]] {
+                    *o += b;
                 }
             }
         }
-        self.push(out, Op::AddBlockBroadcast(m, q, block))
+        self.push(out, Op::AddSegmentBroadcast(m, q, seg.to_vec()))
     }
 
-    /// Reinterprets a `[1, B*rows]` row as a `[rows, B]` matrix with
-    /// `out[i, g] = a[0, g*rows + i]` (per-graph score columns from a
-    /// blocked `vᵀ tanh(..)` contraction).
+    /// Softmax over each segment of the row `a` (`[1, F]`); each segment
+    /// reproduces [`softmax_masked`](Tape::softmax_masked) at its lane's
+    /// unmasked entries bit for bit.
     ///
     /// # Panics
     ///
-    /// Panics unless `a` is a single row whose length divides by `rows`.
-    pub fn unflatten_row(&mut self, a: Var, rows: usize) -> Var {
-        let av = &self.nodes[a.0].value;
-        assert_eq!(av.rows(), 1, "unflatten_row takes a row vector");
-        assert_eq!(av.cols() % rows, 0, "row length must divide by rows");
-        let b = av.cols() / rows;
-        let mut out = Matrix::zeros(rows, b);
-        for g in 0..b {
-            for i in 0..rows {
-                out.set(i, g, av.get(0, g * rows + i));
+    /// Panics unless `a` is a row that `seg` segments, or if a segment is
+    /// empty.
+    pub fn softmax_segments(&mut self, a: Var, seg: &[usize]) -> Var {
+        let mut out = self.nodes[a.0].value.clone();
+        check_row_segments(&out, seg);
+        for lane in seg.windows(2) {
+            softmax_in_place(&mut out.as_mut_slice()[lane[0]..lane[1]]);
+        }
+        self.push(out, Op::SoftmaxSegments(a, seg.to_vec()))
+    }
+
+    /// Log-softmax over each segment of the row `a` (`[1, F]`); the
+    /// segmented form of [`log_softmax_masked`](Tape::log_softmax_masked).
+    ///
+    /// # Panics
+    ///
+    /// Same conditions as [`softmax_segments`](Tape::softmax_segments).
+    pub fn log_softmax_segments(&mut self, a: Var, seg: &[usize]) -> Var {
+        let mut out = self.nodes[a.0].value.clone();
+        check_row_segments(&out, seg);
+        for lane in seg.windows(2) {
+            let x = &mut out.as_mut_slice()[lane[0]..lane[1]];
+            let lse = log_sum_exp(x);
+            for e in x {
+                *e -= lse;
             }
         }
-        self.push(out, Op::UnflattenRow(a, rows))
+        self.push(out, Op::LogSoftmaxSegments(a, seg.to_vec()))
     }
 
-    /// Per-column masked softmax over `[n, B]`; `masks[g*n + i]` masks row
-    /// `i` of column `g`. Each column reproduces
-    /// [`softmax_masked`](Tape::softmax_masked) exactly.
+    /// Per-segment matrix-vector product (the batched glimpse
+    /// contraction): with `c` `[h, F]` and weights `p` `[1, F]`, returns
+    /// `[h, B]` whose column `g` is `Σ_j c[:, j] · p[0, j]` over segment
+    /// `g`, summed in ascending `j` like [`Matrix::matmul`]'s column-vector
+    /// path.
     ///
     /// # Panics
     ///
-    /// Panics on mask-length mismatch or a fully masked column.
-    pub fn softmax_masked_cols(&mut self, a: Var, masks: &[bool]) -> Var {
-        let v = masked_softmax_cols(&self.nodes[a.0].value, masks);
-        self.push(v, Op::SoftmaxMaskedCols(a, masks.to_vec()))
-    }
-
-    /// Per-column masked log-softmax over `[n, B]` (masked entries get
-    /// [`NEG_INF_LOGIT`]); the batched form of
-    /// [`log_softmax_masked`](Tape::log_softmax_masked).
-    ///
-    /// # Panics
-    ///
-    /// Panics on mask-length mismatch or a fully masked column.
-    pub fn log_softmax_masked_cols(&mut self, a: Var, masks: &[bool]) -> Var {
-        let av = &self.nodes[a.0].value;
-        let (n, b) = av.shape();
-        assert_eq!(masks.len(), n * b, "mask length");
-        let mut out = Matrix::zeros(n, b);
-        for g in 0..b {
-            let mask = &masks[g * n..(g + 1) * n];
-            let lse = col_masked_log_sum_exp(av, g, mask);
-            for (i, &masked) in mask.iter().enumerate() {
-                let y = if masked {
-                    NEG_INF_LOGIT
-                } else {
-                    av.get(i, g) - lse
-                };
-                out.set(i, g, y);
+    /// Panics unless `p` is a row that `seg` segments and `c` has as many
+    /// columns.
+    pub fn segment_matvec(&mut self, c: Var, p: Var, seg: &[usize]) -> Var {
+        let (cv, pv) = (&self.nodes[c.0].value, &self.nodes[p.0].value);
+        check_row_segments(pv, seg);
+        assert_eq!(cv.cols(), pv.cols(), "segment matvec width mismatch");
+        let (h, f, b) = (cv.rows(), cv.cols(), seg.len() - 1);
+        let pw = pv.as_slice();
+        let mut out = Matrix::zeros(h, b);
+        for (r, crow) in cv.as_slice().chunks_exact(f.max(1)).enumerate() {
+            for (g, lane) in seg.windows(2).enumerate() {
+                let mut acc = 0.0f32;
+                for j in lane[0]..lane[1] {
+                    acc += crow[j] * pw[j];
+                }
+                out.set(r, g, acc);
             }
         }
-        self.push(out, Op::LogSoftmaxMaskedCols(a, masks.to_vec()))
-    }
-
-    /// Picks entry `indices[g]` of every column `g`, producing a `[1, B]`
-    /// row (the chosen log-probability per batch lane).
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `indices.len() == a.cols()` and indices are in range.
-    pub fn pick_cols(&mut self, a: Var, indices: &[usize]) -> Var {
-        let av = &self.nodes[a.0].value;
-        assert_eq!(indices.len(), av.cols(), "one index per column");
-        let mut out = Matrix::zeros(1, av.cols());
-        for (g, &i) in indices.iter().enumerate() {
-            assert!(i < av.rows(), "pick index out of range");
-            out.set(0, g, av.get(i, g));
-        }
-        self.push(out, Op::PickCols(a, indices.to_vec()))
-    }
-
-    /// Block-diagonal matrix-vector product (the batched glimpse
-    /// contraction); the forward kernel is [`Matrix::block_matvec`].
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `c.cols() == p.rows() * p.cols()`.
-    pub fn block_matvec(&mut self, c: Var, p: Var) -> Var {
-        let out = self.nodes[c.0].value.block_matvec(&self.nodes[p.0].value);
-        self.push(out, Op::BlockMatVec(c, p))
+        self.push(out, Op::SegmentMatVec(c, p, seg.to_vec()))
     }
 
     // --- backward ----------------------------------------------------------
@@ -465,55 +448,59 @@ impl Tape {
     /// Panics if `loss` is not `(1, 1)`.
     pub fn backward(&mut self, loss: Var) {
         assert_eq!(self.nodes[loss.0].value.shape(), (1, 1), "scalar loss");
-        self.grads = self
-            .nodes
+        // nodes are read-only from here on: borrow them beside the grads
+        let Tape {
+            nodes,
+            grads,
+            grads_valid,
+        } = self;
+        *grads = nodes
             .iter()
             .map(|n| Matrix::zeros(n.value.rows(), n.value.cols()))
             .collect();
-        self.grads[loss.0].set(0, 0, 1.0);
-        for idx in (0..self.nodes.len()).rev() {
-            let g = std::mem::replace(&mut self.grads[idx], Matrix::zeros(0, 0));
+        grads[loss.0].set(0, 0, 1.0);
+        for idx in (0..nodes.len()).rev() {
+            let g = std::mem::replace(&mut grads[idx], Matrix::zeros(0, 0));
             if g.max_abs() == 0.0 {
-                self.grads[idx] = g;
+                grads[idx] = g;
                 continue;
             }
-            let op = self.nodes[idx].op.clone();
-            match op {
+            match nodes[idx].op {
                 Op::Leaf => {}
                 Op::MatMul(a, b) => {
-                    let da = g.matmul_tb(&self.nodes[b.0].value);
-                    let db = self.nodes[a.0].value.matmul_ta(&g);
-                    self.grads[a.0].add_assign(&da);
-                    self.grads[b.0].add_assign(&db);
+                    let da = g.matmul_tb(&nodes[b.0].value);
+                    let db = nodes[a.0].value.matmul_ta(&g);
+                    grads[a.0].add_assign(&da);
+                    grads[b.0].add_assign(&db);
                 }
                 Op::MatMulTA(a, b) => {
                     // C = Aᵀ B: dA = B gᵀ, dB = A g.
-                    let da = self.nodes[b.0].value.matmul_tb(&g);
-                    let db = self.nodes[a.0].value.matmul(&g);
-                    self.grads[a.0].add_assign(&da);
-                    self.grads[b.0].add_assign(&db);
+                    let da = nodes[b.0].value.matmul_tb(&g);
+                    let db = nodes[a.0].value.matmul(&g);
+                    grads[a.0].add_assign(&da);
+                    grads[b.0].add_assign(&db);
                 }
                 Op::Add(a, b) => {
-                    self.grads[a.0].add_assign(&g);
-                    self.grads[b.0].add_assign(&g);
+                    grads[a.0].add_assign(&g);
+                    grads[b.0].add_assign(&g);
                 }
                 Op::Sub(a, b) => {
-                    self.grads[a.0].add_assign(&g);
+                    grads[a.0].add_assign(&g);
                     let neg = g.map(|x| -x);
-                    self.grads[b.0].add_assign(&neg);
+                    grads[b.0].add_assign(&neg);
                 }
                 Op::MulElem(a, b) => {
-                    let da = g.zip(&self.nodes[b.0].value, |x, y| x * y);
-                    let db = g.zip(&self.nodes[a.0].value, |x, y| x * y);
-                    self.grads[a.0].add_assign(&da);
-                    self.grads[b.0].add_assign(&db);
+                    let da = g.zip(&nodes[b.0].value, |x, y| x * y);
+                    let db = g.zip(&nodes[a.0].value, |x, y| x * y);
+                    grads[a.0].add_assign(&da);
+                    grads[b.0].add_assign(&db);
                 }
                 Op::Scale(a, k) => {
                     let da = g.map(|x| x * k);
-                    self.grads[a.0].add_assign(&da);
+                    grads[a.0].add_assign(&da);
                 }
                 Op::AddColBroadcast(m, v) => {
-                    self.grads[m.0].add_assign(&g);
+                    grads[m.0].add_assign(&g);
                     let mut dv = Matrix::zeros(g.rows(), 1);
                     for r in 0..g.rows() {
                         let mut s = 0.0;
@@ -522,36 +509,36 @@ impl Tape {
                         }
                         dv.set(r, 0, s);
                     }
-                    self.grads[v.0].add_assign(&dv);
+                    grads[v.0].add_assign(&dv);
                 }
                 Op::Sigmoid(a) => {
-                    let y = &self.nodes[idx].value;
+                    let y = &nodes[idx].value;
                     let da = g.zip(y, |gi, yi| gi * yi * (1.0 - yi));
-                    self.grads[a.0].add_assign(&da);
+                    grads[a.0].add_assign(&da);
                 }
                 Op::Tanh(a) => {
-                    let y = &self.nodes[idx].value;
+                    let y = &nodes[idx].value;
                     let da = g.zip(y, |gi, yi| gi * (1.0 - yi * yi));
-                    self.grads[a.0].add_assign(&da);
+                    grads[a.0].add_assign(&da);
                 }
                 Op::Relu(a) => {
-                    let y = &self.nodes[idx].value;
+                    let y = &nodes[idx].value;
                     let da = g.zip(y, |gi, yi| if yi > 0.0 { gi } else { 0.0 });
-                    self.grads[a.0].add_assign(&da);
+                    grads[a.0].add_assign(&da);
                 }
                 Op::ConcatRows(a, b) => {
-                    let ra = self.nodes[a.0].value.rows();
+                    let ra = nodes[a.0].value.rows();
                     let cols = g.cols();
                     let (top, bot) = g.as_slice().split_at(ra * cols);
                     let da = Matrix::from_vec(ra, cols, top.to_vec());
                     let db = Matrix::from_vec(g.rows() - ra, cols, bot.to_vec());
-                    self.grads[a.0].add_assign(&da);
-                    self.grads[b.0].add_assign(&db);
+                    grads[a.0].add_assign(&da);
+                    grads[b.0].add_assign(&db);
                 }
-                Op::ConcatCols(cols) => {
+                Op::ConcatCols(ref cols) => {
                     let mut at = 0;
-                    for &c in &cols {
-                        let m_cols = self.nodes[c.0].value.cols();
+                    for &c in cols {
+                        let m_cols = nodes[c.0].value.cols();
                         let rows = g.rows();
                         let mut dc = Matrix::zeros(rows, m_cols);
                         for r in 0..rows {
@@ -559,12 +546,12 @@ impl Tape {
                                 dc.set(r, cc, g.get(r, at + cc));
                             }
                         }
-                        self.grads[c.0].add_assign(&dc);
+                        grads[c.0].add_assign(&dc);
                         at += m_cols;
                     }
                 }
                 Op::SliceCol(a, col) => {
-                    let ga = &mut self.grads[a.0];
+                    let ga = &mut grads[a.0];
                     for r in 0..g.rows() {
                         let cur = ga.get(r, col);
                         ga.set(r, col, cur + g.get(r, 0));
@@ -572,7 +559,7 @@ impl Tape {
                 }
                 Op::SliceRows(a, start, len) => {
                     let cols = g.cols();
-                    let ga = &mut self.grads[a.0];
+                    let ga = &mut grads[a.0];
                     for r in 0..len {
                         for c in 0..cols {
                             let cur = ga.get(start + r, c);
@@ -582,16 +569,16 @@ impl Tape {
                 }
                 Op::Transpose(a) => {
                     let da = g.transpose();
-                    self.grads[a.0].add_assign(&da);
+                    grads[a.0].add_assign(&da);
                 }
                 Op::Sum(a) => {
                     let s = g.get(0, 0);
-                    let shape = self.nodes[a.0].value.shape();
+                    let shape = nodes[a.0].value.shape();
                     let da = Matrix::full(shape.0, shape.1, s);
-                    self.grads[a.0].add_assign(&da);
+                    grads[a.0].add_assign(&da);
                 }
-                Op::SoftmaxMaskedCol(a, mask) => {
-                    let y = &self.nodes[idx].value;
+                Op::SoftmaxMaskedCol(a, ref mask) => {
+                    let y = &nodes[idx].value;
                     let dot: f32 = (0..y.rows())
                         .filter(|&i| !mask[i])
                         .map(|i| g.get(i, 0) * y.get(i, 0))
@@ -602,10 +589,10 @@ impl Tape {
                             da.set(i, 0, y.get(i, 0) * (g.get(i, 0) - dot));
                         }
                     }
-                    self.grads[a.0].add_assign(&da);
+                    grads[a.0].add_assign(&da);
                 }
-                Op::LogSoftmaxMaskedCol(a, mask) => {
-                    let y = &self.nodes[idx].value;
+                Op::LogSoftmaxMaskedCol(a, ref mask) => {
+                    let y = &nodes[idx].value;
                     let gsum: f32 = (0..y.rows())
                         .filter(|&i| !mask[i])
                         .map(|i| g.get(i, 0))
@@ -616,15 +603,15 @@ impl Tape {
                             da.set(i, 0, g.get(i, 0) - y.get(i, 0).exp() * gsum);
                         }
                     }
-                    self.grads[a.0].add_assign(&da);
+                    grads[a.0].add_assign(&da);
                 }
                 Op::Pick(a, i) => {
                     let s = g.get(0, 0);
-                    let cur = self.grads[a.0].get(i, 0);
-                    self.grads[a.0].set(i, 0, cur + s);
+                    let cur = grads[a.0].get(i, 0);
+                    grads[a.0].set(i, 0, cur + s);
                 }
-                Op::GatherCols(a, cols) => {
-                    let ga = &mut self.grads[a.0];
+                Op::GatherCols(a, ref cols) => {
+                    let ga = &mut grads[a.0];
                     for (j, &c) in cols.iter().enumerate() {
                         for r in 0..g.rows() {
                             let cur = ga.get(r, c);
@@ -632,106 +619,72 @@ impl Tape {
                         }
                     }
                 }
-                Op::AddBlockBroadcast(m, q, block) => {
-                    self.grads[m.0].add_assign(&g);
-                    let b = g.cols() / block;
-                    let mut dq = Matrix::zeros(g.rows(), b);
+                Op::AddSegmentBroadcast(m, q, ref seg) => {
+                    grads[m.0].add_assign(&g);
+                    let mut dq = Matrix::zeros(g.rows(), seg.len() - 1);
                     for r in 0..g.rows() {
-                        for gg in 0..b {
+                        for (lane, w) in seg.windows(2).enumerate() {
                             let mut s = 0.0;
-                            for i in 0..block {
-                                s += g.get(r, gg * block + i);
+                            for j in w[0]..w[1] {
+                                s += g.get(r, j);
                             }
-                            dq.set(r, gg, s);
+                            dq.set(r, lane, s);
                         }
                     }
-                    self.grads[q.0].add_assign(&dq);
+                    grads[q.0].add_assign(&dq);
                 }
-                Op::UnflattenRow(a, rows) => {
-                    let ga = &mut self.grads[a.0];
-                    for gg in 0..g.cols() {
-                        for i in 0..rows {
-                            let c = gg * rows + i;
-                            let cur = ga.get(0, c);
-                            ga.set(0, c, cur + g.get(i, gg));
+                Op::SoftmaxSegments(a, ref seg) => {
+                    let y = nodes[idx].value.as_slice();
+                    let (gs, mut da) = (g.as_slice(), Matrix::zeros(1, y.len()));
+                    for w in seg.windows(2) {
+                        let lane = w[0]..w[1];
+                        let dot: f32 = lane.clone().map(|j| gs[j] * y[j]).sum();
+                        for j in lane {
+                            da.as_mut_slice()[j] = y[j] * (gs[j] - dot);
                         }
                     }
+                    grads[a.0].add_assign(&da);
                 }
-                Op::SoftmaxMaskedCols(a, masks) => {
-                    let y = &self.nodes[idx].value;
-                    let n = y.rows();
-                    let mut da = Matrix::zeros(n, y.cols());
-                    for gg in 0..y.cols() {
-                        let mask = &masks[gg * n..(gg + 1) * n];
-                        let dot: f32 = (0..n)
-                            .filter(|&i| !mask[i])
-                            .map(|i| g.get(i, gg) * y.get(i, gg))
-                            .sum();
-                        for (i, &masked) in mask.iter().enumerate() {
-                            if !masked {
-                                da.set(i, gg, y.get(i, gg) * (g.get(i, gg) - dot));
-                            }
+                Op::LogSoftmaxSegments(a, ref seg) => {
+                    let y = nodes[idx].value.as_slice();
+                    let (gs, mut da) = (g.as_slice(), Matrix::zeros(1, y.len()));
+                    for w in seg.windows(2) {
+                        let lane = w[0]..w[1];
+                        let gsum: f32 = gs[lane.clone()].iter().sum();
+                        for j in lane {
+                            da.as_mut_slice()[j] = gs[j] - y[j].exp() * gsum;
                         }
                     }
-                    self.grads[a.0].add_assign(&da);
+                    grads[a.0].add_assign(&da);
                 }
-                Op::LogSoftmaxMaskedCols(a, masks) => {
-                    let y = &self.nodes[idx].value;
-                    let n = y.rows();
-                    let mut da = Matrix::zeros(n, y.cols());
-                    for gg in 0..y.cols() {
-                        let mask = &masks[gg * n..(gg + 1) * n];
-                        let gsum: f32 = (0..n).filter(|&i| !mask[i]).map(|i| g.get(i, gg)).sum();
-                        for (i, &masked) in mask.iter().enumerate() {
-                            if !masked {
-                                da.set(i, gg, g.get(i, gg) - y.get(i, gg).exp() * gsum);
+                Op::SegmentMatVec(c, p, ref seg) => {
+                    let (cv, pw) = (&nodes[c.0].value, nodes[p.0].value.as_slice());
+                    let (h, f) = cv.shape();
+                    let mut dc = Matrix::zeros(h, f);
+                    let mut dp = Matrix::zeros(1, f);
+                    for (lane, w) in seg.windows(2).enumerate() {
+                        for r in 0..h {
+                            let gr = g.get(r, lane);
+                            let drow = &mut dc.as_mut_slice()[r * f..][w[0]..w[1]];
+                            for (d, &pj) in drow.iter_mut().zip(&pw[w[0]..w[1]]) {
+                                *d = gr * pj;
                             }
                         }
-                    }
-                    self.grads[a.0].add_assign(&da);
-                }
-                Op::PickCols(a, indices) => {
-                    let ga = &mut self.grads[a.0];
-                    for (gg, &i) in indices.iter().enumerate() {
-                        let cur = ga.get(i, gg);
-                        ga.set(i, gg, cur + g.get(0, gg));
-                    }
-                }
-                Op::BlockMatVec(c, p) => {
-                    let (n, b) = self.nodes[p.0].value.shape();
-                    let h = g.rows();
-                    {
-                        let pv = &self.nodes[p.0].value;
-                        let mut dc = Matrix::zeros(h, n * b);
-                        for gg in 0..b {
+                        for j in w[0]..w[1] {
+                            let mut s = 0.0;
                             for r in 0..h {
-                                let gr = g.get(r, gg);
-                                for i in 0..n {
-                                    dc.set(r, gg * n + i, gr * pv.get(i, gg));
-                                }
+                                s += cv.get(r, j) * g.get(r, lane);
                             }
+                            dp.set(0, j, s);
                         }
-                        self.grads[c.0].add_assign(&dc);
                     }
-                    {
-                        let cv = &self.nodes[c.0].value;
-                        let mut dp = Matrix::zeros(n, b);
-                        for gg in 0..b {
-                            for i in 0..n {
-                                let mut s = 0.0;
-                                for r in 0..h {
-                                    s += cv.get(r, gg * n + i) * g.get(r, gg);
-                                }
-                                dp.set(i, gg, s);
-                            }
-                        }
-                        self.grads[p.0].add_assign(&dp);
-                    }
+                    grads[c.0].add_assign(&dc);
+                    grads[p.0].add_assign(&dp);
                 }
             }
-            self.grads[idx] = g;
+            grads[idx] = g;
         }
-        self.grads_valid = true;
+        *grads_valid = true;
     }
 }
 
@@ -764,50 +717,47 @@ pub fn masked_softmax(x: &Matrix, mask: &[bool]) -> Matrix {
     out
 }
 
-/// Per-column masked softmax over `[n, B]` (`masks[g*n + i]` masks row `i`
-/// of column `g`); each column matches [`masked_softmax`] bit for bit.
-/// The batched tape op's forward kernel.
+/// In-place softmax of a slice, reduced in slice order: bit for bit
+/// [`masked_softmax`]'s values at the unmasked entries when `x` holds
+/// exactly those entries in order.
 ///
 /// # Panics
 ///
-/// Panics on mask-length mismatch or a fully masked column.
-pub fn masked_softmax_cols(x: &Matrix, masks: &[bool]) -> Matrix {
-    let (n, b) = x.shape();
-    assert_eq!(masks.len(), n * b, "mask length");
-    let mut out = Matrix::zeros(n, b);
-    for g in 0..b {
-        let mask = &masks[g * n..(g + 1) * n];
-        assert!(mask.iter().any(|&m| !m), "all entries masked");
-        let mx = (0..n)
-            .filter(|&i| !mask[i])
-            .map(|i| x.get(i, g))
-            .fold(f32::NEG_INFINITY, f32::max);
-        let mut z = 0.0;
-        for (i, &masked) in mask.iter().enumerate() {
-            if !masked {
-                let e = (x.get(i, g) - mx).exp();
-                out.set(i, g, e);
-                z += e;
-            }
-        }
-        for i in 0..n {
-            out.set(i, g, out.get(i, g) / z);
-        }
+/// Panics if `x` is empty.
+pub fn softmax_in_place(x: &mut [f32]) {
+    assert!(!x.is_empty(), "all entries masked");
+    let mx = x.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+    let mut z = 0.0f32;
+    for e in x.iter_mut() {
+        *e = (*e - mx).exp();
+        z += *e;
     }
-    out
+    for e in x.iter_mut() {
+        *e /= z;
+    }
 }
 
-fn col_masked_log_sum_exp(x: &Matrix, col: usize, mask: &[bool]) -> f32 {
-    assert!(mask.iter().any(|&m| !m), "all entries masked");
-    let mx = (0..x.rows())
-        .filter(|&i| !mask[i])
-        .map(|i| x.get(i, col))
-        .fold(f32::NEG_INFINITY, f32::max);
-    let z: f32 = (0..x.rows())
-        .filter(|&i| !mask[i])
-        .map(|i| (x.get(i, col) - mx).exp())
-        .sum();
+/// `log Σ exp(x)` reduced in slice order, as the masked log-softmax
+/// reduces its unmasked entries.
+fn log_sum_exp(x: &[f32]) -> f32 {
+    assert!(!x.is_empty(), "all entries masked");
+    let mx = x.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+    let z: f32 = x.iter().map(|&v| (v - mx).exp()).sum();
     mx + z.ln()
+}
+
+/// Asserts `seg` splits `width` columns into ordered lane segments.
+fn check_segments(seg: &[usize], width: usize) {
+    assert_eq!(seg.first(), Some(&0), "segments start at column 0");
+    assert_eq!(seg.last(), Some(&width), "segments cover every column");
+    assert!(seg.windows(2).all(|w| w[0] <= w[1]), "segments are ordered");
+}
+
+/// Asserts `x` is a row that `seg` splits into nonempty lane segments.
+fn check_row_segments(x: &Matrix, seg: &[usize]) {
+    assert_eq!(x.rows(), 1, "segment ops take a row vector");
+    check_segments(seg, x.cols());
+    assert!(seg.windows(2).all(|w| w[0] < w[1]), "all entries masked");
 }
 
 fn masked_log_sum_exp(x: &Matrix, mask: &[bool]) -> f32 {
@@ -1124,13 +1074,14 @@ mod tests {
     }
 
     #[test]
-    fn grad_add_block_broadcast() {
-        let m = Matrix::from_vec(2, 6, (0..12).map(|i| 0.1 * i as f32 - 0.5).collect());
+    fn grad_add_segment_broadcast() {
+        let m = Matrix::from_vec(2, 5, (0..10).map(|i| 0.1 * i as f32 - 0.5).collect());
         finite_diff_check(
             move |t, q| {
                 let mv = t.leaf(m.clone());
-                let qm = t.concat_cols(&[q, q]); // [2, 2] query block
-                let y = t.add_block_broadcast(mv, qm, 3);
+                let q2 = t.scale(q, -0.5);
+                let qm = t.concat_cols(&[q, q2]); // [2, 2] query block
+                let y = t.add_segment_broadcast(mv, qm, &[0, 3, 5]);
                 let y2 = t.tanh(y);
                 t.sum(y2)
             },
@@ -1140,74 +1091,58 @@ mod tests {
     }
 
     #[test]
-    fn grad_unflatten_and_pick_cols() {
-        finite_diff_check(
-            |t, x| {
-                let r = t.transpose(x); // [1, 6]
-                let m = t.unflatten_row(r, 3); // [3, 2]
-                let picked = t.pick_cols(m, &[1, 2]); // [1, 2]
-                let y = t.tanh(picked);
-                t.sum(y)
-            },
-            test_input(6),
-            1e-2,
-        );
-    }
-
-    #[test]
-    fn grad_block_matvec_both_sides() {
-        let p = Matrix::from_vec(3, 2, vec![0.2, 0.5, 0.3, 0.1, 0.5, 0.4]);
+    fn grad_segment_matvec_both_sides() {
+        let seg = [0, 2, 5];
+        let p = Matrix::from_vec(1, 5, vec![0.2, 0.8, 0.3, 0.1, 0.6]);
         finite_diff_check(
             move |t, c| {
                 let pv = t.leaf(p.clone());
-                let g = t.block_matvec(c, pv);
+                let g = t.segment_matvec(c, pv, &seg);
                 let y = t.tanh(g);
                 t.sum(y)
             },
-            Matrix::from_vec(2, 6, (0..12).map(|i| 0.07 * i as f32 - 0.3).collect()),
+            Matrix::from_vec(2, 5, (0..10).map(|i| 0.07 * i as f32 - 0.3).collect()),
             1e-2,
         );
-        let c = Matrix::from_vec(2, 6, (0..12).map(|i| 0.07 * i as f32 - 0.3).collect());
+        let c = Matrix::from_vec(2, 5, (0..10).map(|i| 0.07 * i as f32 - 0.3).collect());
         finite_diff_check(
             move |t, p| {
                 let cv = t.leaf(c.clone());
-                let m = t.concat_cols(&[p, p]); // [3, 2]
-                let g = t.block_matvec(cv, m);
+                let row = t.transpose(p); // [1, 5]
+                let g = t.segment_matvec(cv, row, &seg);
                 let y = t.tanh(g);
                 t.sum(y)
             },
-            test_input(3),
+            test_input(5),
             1e-2,
         );
     }
 
     #[test]
-    fn grad_softmax_masked_cols() {
-        let masks = vec![false, true, false, false, false, true];
+    fn grad_softmax_segments() {
         finite_diff_check(
-            move |t, x| {
-                let m = t.concat_cols(&[x, x]); // [3, 2]
-                let y = t.softmax_masked_cols(m, &masks);
-                let w = t.leaf(Matrix::from_vec(3, 2, vec![0.3, -0.1, 0.0, 0.7, -0.8, 1.2]));
+            |t, x| {
+                let row = t.transpose(x); // [1, 5]
+                let y = t.softmax_segments(row, &[0, 3, 5]);
+                let w = t.leaf(Matrix::from_vec(1, 5, vec![0.3, -0.1, 0.7, -0.8, 1.2]));
                 let p = t.mul_elem(y, w);
                 t.sum(p)
             },
-            test_input(3),
+            test_input(5),
             1e-2,
         );
     }
 
     #[test]
-    fn grad_log_softmax_masked_cols() {
-        let masks = vec![false, false, true, true, false, false];
+    fn grad_log_softmax_segments() {
         finite_diff_check(
-            move |t, x| {
-                let m = t.concat_cols(&[x, x]); // [3, 2]
-                let y = t.log_softmax_masked_cols(m, &masks);
-                let picked = t.pick_cols(y, &[1, 2]);
+            |t, x| {
+                let row = t.transpose(x); // [1, 5]
+                let y = t.log_softmax_segments(row, &[0, 2, 5]);
+                let picked = t.gather_cols(y, &[1, 2]); // one pick per lane
                 t.sum(picked)
             },
-            test_input(3),
+            test_input(5),
             1e-2,
         );
     }
@@ -1216,59 +1151,60 @@ mod tests {
     fn batched_softmax_columns_match_unbatched() {
         let a = Matrix::col_from_slice(&[0.4, -1.2, 2.0, 0.1]);
         let b = Matrix::col_from_slice(&[1.5, 0.0, -0.7, 0.9]);
-        let mask_a = vec![false, true, false, false];
-        let mask_b = vec![false, false, false, true];
-        let mut stacked = Matrix::zeros(4, 2);
-        for i in 0..4 {
-            stacked.set(i, 0, a.get(i, 0));
-            stacked.set(i, 1, b.get(i, 0));
-        }
-        let masks: Vec<bool> = mask_a.iter().chain(&mask_b).copied().collect();
-        let batched = masked_softmax_cols(&stacked, &masks);
-        let sa = masked_softmax(&a, &mask_a);
-        let sb = masked_softmax(&b, &mask_b);
-        for i in 0..4 {
-            assert_eq!(batched.get(i, 0).to_bits(), sa.get(i, 0).to_bits());
-            assert_eq!(batched.get(i, 1).to_bits(), sb.get(i, 0).to_bits());
-        }
-        // log-softmax path too
+        let mask_a = [false, true, false, false];
+        let mask_b = [false, false, false, true];
+        // lane segments hold each column's unmasked entries in order
+        let open = |x: &Matrix, mask: &[bool]| -> Vec<f32> {
+            (0..4).filter(|&i| !mask[i]).map(|i| x.get(i, 0)).collect()
+        };
+        let row = [open(&a, &mask_a), open(&b, &mask_b)].concat();
+        let seg = [0, 3, 6];
         let mut t = Tape::new();
-        let sv = t.leaf(stacked);
-        let ls_cols = t.log_softmax_masked_cols(sv, &masks);
-        let av = t.leaf(a);
-        let ls_a = t.log_softmax_masked(av, &mask_a);
-        for i in 0..4 {
-            assert_eq!(
-                t.value(ls_cols).get(i, 0).to_bits(),
-                t.value(ls_a).get(i, 0).to_bits()
-            );
+        let rv = t.leaf(Matrix::from_vec(1, 6, row));
+        let sm = t.softmax_segments(rv, &seg);
+        let ls = t.log_softmax_segments(rv, &seg);
+        for (lane, (x, mask)) in [(&a, &mask_a), (&b, &mask_b)].into_iter().enumerate() {
+            let xv = t.leaf(x.clone());
+            let want_sm = masked_softmax(x, mask);
+            let want_ls = t.log_softmax_masked(xv, mask);
+            let unmasked = (0..4).filter(|&i| !mask[i]);
+            for (j, i) in (seg[lane]..seg[lane + 1]).zip(unmasked) {
+                let got = (t.value(sm).get(0, j), t.value(ls).get(0, j));
+                assert_eq!(got.0.to_bits(), want_sm.get(i, 0).to_bits());
+                assert_eq!(got.1.to_bits(), t.value(want_ls).get(i, 0).to_bits());
+            }
         }
     }
 
     #[test]
-    fn block_matvec_matches_per_block_matmul() {
-        let c = Matrix::from_vec(2, 6, (0..12).map(|i| 0.3 * i as f32 - 1.0).collect());
-        let p = Matrix::from_vec(3, 2, vec![0.2, 0.5, 0.3, 0.1, 0.5, 0.4]);
+    fn segment_matvec_matches_per_lane_matmul() {
+        let c = Matrix::from_vec(2, 5, (0..10).map(|i| 0.3 * i as f32 - 1.0).collect());
+        let p = Matrix::from_vec(1, 5, vec![0.2, 0.5, 0.3, 0.1, 0.6]);
+        let seg = [0, 2, 5];
         let mut t = Tape::new();
         let cv = t.leaf(c.clone());
         let pv = t.leaf(p.clone());
-        let out = t.block_matvec(cv, pv);
-        for g in 0..2 {
-            let mut block = Matrix::zeros(2, 3);
+        let out = t.segment_matvec(cv, pv, &seg);
+        for lane in 0..2 {
+            let cols: Vec<usize> = (seg[lane]..seg[lane + 1]).collect();
+            let block = c.gather_cols(&cols);
+            let weights = p.gather_cols(&cols).transpose();
+            let expect = block.matmul(&weights);
             for r in 0..2 {
-                for i in 0..3 {
-                    block.set(r, i, c.get(r, g * 3 + i));
-                }
-            }
-            let mut col = Matrix::zeros(3, 1);
-            for i in 0..3 {
-                col.set(i, 0, p.get(i, g));
-            }
-            let expect = block.matmul(&col);
-            for r in 0..2 {
-                assert_eq!(t.value(out).get(r, g).to_bits(), expect.get(r, 0).to_bits());
+                assert_eq!(
+                    t.value(out).get(r, lane).to_bits(),
+                    expect.get(r, 0).to_bits()
+                );
             }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "all entries masked")]
+    fn softmax_segments_rejects_an_empty_lane() {
+        let mut t = Tape::new();
+        let x = t.leaf(Matrix::from_vec(1, 2, vec![1.0, 2.0]));
+        let _ = t.softmax_segments(x, &[0, 2, 2]);
     }
 
     #[test]

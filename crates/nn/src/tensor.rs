@@ -117,8 +117,11 @@ impl Matrix {
         self.data
     }
 
-    /// `self @ other` (naive ikj matmul, adequate for the model sizes
-    /// used by RESPECT).
+    /// `self @ other`.
+    ///
+    /// A column-vector `other` takes a dot-product path (it dominates LSTM
+    /// inference); wider products run the blocked kernel, which
+    /// skips terms whose left factor is `0.0`.
     ///
     /// # Panics
     ///
@@ -127,7 +130,6 @@ impl Matrix {
         assert_eq!(self.cols, other.rows, "matmul inner dimension");
         let (m, k, n) = (self.rows, self.cols, other.cols);
         if n == 1 {
-            // fast matvec path (dominates LSTM inference)
             let mut out = Matrix::zeros(m, 1);
             let x = other.data.as_slice();
             for i in 0..m {
@@ -140,24 +142,11 @@ impl Matrix {
             }
             return out;
         }
-        let mut out = Matrix::zeros(m, n);
-        for i in 0..m {
-            for p in 0..k {
-                let a = self.data[i * k + p];
-                if a == 0.0 {
-                    continue;
-                }
-                let brow = &other.data[p * n..(p + 1) * n];
-                let orow = &mut out.data[i * n..(i + 1) * n];
-                for j in 0..n {
-                    orow[j] += a * brow[j];
-                }
-            }
-        }
-        out
+        gemm::<true>(m, k, n, |i, p| self.data[i * k + p], &other.data)
     }
 
-    /// `selfᵀ @ other` without materializing the transpose.
+    /// `selfᵀ @ other` without materializing the transpose; skips terms
+    /// whose left factor is `0.0`.
     ///
     /// # Panics
     ///
@@ -165,24 +154,13 @@ impl Matrix {
     pub fn matmul_ta(&self, other: &Matrix) -> Matrix {
         assert_eq!(self.rows, other.rows, "matmul_ta row dimension");
         let (k, m, n) = (self.rows, self.cols, other.cols);
-        let mut out = Matrix::zeros(m, n);
-        for p in 0..k {
-            let arow = &self.data[p * m..(p + 1) * m];
-            let brow = &other.data[p * n..(p + 1) * n];
-            for (i, &a) in arow.iter().enumerate() {
-                if a == 0.0 {
-                    continue;
-                }
-                let orow = &mut out.data[i * n..(i + 1) * n];
-                for j in 0..n {
-                    orow[j] += a * brow[j];
-                }
-            }
-        }
-        out
+        gemm::<true>(m, k, n, |i, p| self.data[p * m + i], &other.data)
     }
 
-    /// `self @ otherᵀ` without materializing the transpose.
+    /// `self @ otherᵀ`. `other` is transposed once up front so the blocked
+    /// kernel reads it row by row; a single row `self` skips that copy and
+    /// runs as the matrix-vector product `other @ selfᵀ`, whose dot
+    /// products sum the same terms in the same order.
     ///
     /// # Panics
     ///
@@ -190,19 +168,17 @@ impl Matrix {
     pub fn matmul_tb(&self, other: &Matrix) -> Matrix {
         assert_eq!(self.cols, other.cols, "matmul_tb col dimension");
         let (m, k, n) = (self.rows, self.cols, other.rows);
-        let mut out = Matrix::zeros(m, n);
-        for i in 0..m {
-            let arow = &self.data[i * k..(i + 1) * k];
-            for j in 0..n {
-                let brow = &other.data[j * k..(j + 1) * k];
-                let mut acc = 0.0;
-                for p in 0..k {
-                    acc += arow[p] * brow[p];
-                }
-                out.data[i * n + j] = acc;
-            }
+        if m == 1 {
+            let col = Matrix::from_vec(k, 1, self.data.clone());
+            return Matrix::from_vec(1, n, other.matmul(&col).data);
         }
-        out
+        gemm::<false>(
+            m,
+            k,
+            n,
+            |i, p| self.data[i * k + p],
+            &other.transpose().data,
+        )
     }
 
     /// Gathers columns `cols[j]` into a new `[rows, cols.len()]` matrix.
@@ -213,37 +189,18 @@ impl Matrix {
     ///
     /// Panics if any index is out of range.
     pub fn gather_cols(&self, cols: &[usize]) -> Matrix {
+        assert!(
+            cols.iter().all(|&c| c < self.cols),
+            "gather column out of range"
+        );
         let mut out = Matrix::zeros(self.rows, cols.len());
-        for (j, &c) in cols.iter().enumerate() {
-            assert!(c < self.cols, "gather column out of range");
-            for r in 0..self.rows {
-                out.set(r, j, self.get(r, c));
-            }
-        }
-        out
-    }
-
-    /// Block-diagonal matrix-vector product: with `self` stacking `B`
-    /// blocks `[C_0 | C_1 | ...] ∈ [h, B*n]` and `p ∈ [n, B]`, returns
-    /// `[h, B]` whose column `g` is `C_g @ p[:, g]`. Accumulation order
-    /// per output element matches [`Matrix::matmul`]'s column-vector fast
-    /// path; the batched tape op's forward kernel.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `self.cols() == p.rows() * p.cols()`.
-    pub fn block_matvec(&self, p: &Matrix) -> Matrix {
-        let (n, b) = p.shape();
-        assert_eq!(self.cols, n * b, "context block count mismatch");
-        let h = self.rows;
-        let mut out = Matrix::zeros(h, b);
-        for g in 0..b {
-            for r in 0..h {
-                let mut acc = 0.0f32;
-                for i in 0..n {
-                    acc += self.get(r, g * n + i) * p.get(i, g);
-                }
-                out.set(r, g, acc);
+        for (orow, row) in out
+            .data
+            .chunks_exact_mut(cols.len().max(1))
+            .zip(self.data.chunks_exact(self.cols.max(1)))
+        {
+            for (o, &c) in orow.iter_mut().zip(cols) {
+                *o = row[c];
             }
         }
         out
@@ -311,6 +268,66 @@ impl Matrix {
     }
 }
 
+/// Output columns one [`gemm`] block accumulates in a local array.
+const BLOCK: usize = 16;
+
+/// The blocked matmul kernel: `out[i, j] = Σ_p a(i, p) · other[p, j]` for
+/// an `[m, k]` left operand read through `a` and a row-major `[k, n]`
+/// right operand `other`.
+///
+/// Each output is summed from `0.0` over ascending `p`, so it equals a
+/// plain triple loop's result bit for bit (the tests keep such loops as
+/// oracles). A block of [`BLOCK`] outputs of one row stays in a local
+/// array, which the compiler keeps in registers, for the whole `p` loop.
+/// With `SKIP_ZERO`, terms whose `a(i, p)` is `0.0` are skipped.
+fn gemm<const SKIP_ZERO: bool>(
+    m: usize,
+    k: usize,
+    n: usize,
+    a: impl Fn(usize, usize) -> f32,
+    other: &[f32],
+) -> Matrix {
+    let mut out = Matrix::zeros(m, n);
+    if n == 0 {
+        return out;
+    }
+    for (i, orow) in out.data.chunks_exact_mut(n).enumerate() {
+        let mut blocks = orow.chunks_exact_mut(BLOCK);
+        for (bi, oblock) in blocks.by_ref().enumerate() {
+            let j0 = bi * BLOCK;
+            let mut acc = [0.0f32; BLOCK];
+            for p in 0..k {
+                let x = a(i, p);
+                if SKIP_ZERO && x == 0.0 {
+                    continue;
+                }
+                let brow: &[f32; BLOCK] = other[p * n + j0..][..BLOCK]
+                    .try_into()
+                    .expect("block width");
+                for (o, &b) in acc.iter_mut().zip(brow) {
+                    *o += x * b;
+                }
+            }
+            oblock.copy_from_slice(&acc);
+        }
+        let tail = blocks.into_remainder();
+        if tail.is_empty() {
+            continue;
+        }
+        let j0 = n - tail.len();
+        for p in 0..k {
+            let x = a(i, p);
+            if SKIP_ZERO && x == 0.0 {
+                continue;
+            }
+            for (o, &b) in tail.iter_mut().zip(&other[p * n + j0..(p + 1) * n]) {
+                *o += x * b;
+            }
+        }
+    }
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -336,6 +353,114 @@ mod tests {
         let a = Matrix::from_vec(2, 3, vec![1., 2., 3., 4., 5., 6.]);
         let b = Matrix::from_vec(4, 3, (0..12).map(|x| x as f32).collect());
         assert_eq!(a.matmul_tb(&b), a.matmul(&b.transpose()));
+    }
+
+    /// The naive `i`-`p`-`j` loop `matmul` and `matmul_ta` ran before the
+    /// blocked kernel; `a(i, p)` reads the left operand.
+    fn naive_ipj(m: usize, k: usize, b: &Matrix, a: impl Fn(usize, usize) -> f32) -> Matrix {
+        let n = b.cols;
+        let mut out = Matrix::zeros(m, n);
+        for i in 0..m {
+            for p in 0..k {
+                let x = a(i, p);
+                if x == 0.0 {
+                    continue;
+                }
+                for j in 0..n {
+                    out.data[i * n + j] += x * b.data[p * n + j];
+                }
+            }
+        }
+        out
+    }
+
+    /// The naive dot-product loop `matmul_tb` ran before the blocked kernel.
+    fn naive_matmul_tb(a: &Matrix, b: &Matrix) -> Matrix {
+        let (m, k, n) = (a.rows, a.cols, b.rows);
+        let mut out = Matrix::zeros(m, n);
+        for i in 0..m {
+            for j in 0..n {
+                let mut acc = 0.0;
+                for p in 0..k {
+                    acc += a.data[i * k + p] * b.data[j * k + p];
+                }
+                out.data[i * n + j] = acc;
+            }
+        }
+        out
+    }
+
+    /// Deterministic test data with roughly one entry in four exactly
+    /// zero (half of those `-0.0`), exercising the zero skip.
+    fn odd_matrix(rows: usize, cols: usize, seed: u64) -> Matrix {
+        let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+        let data = (0..rows * cols)
+            .map(|_| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                match state % 8 {
+                    0 => 0.0,
+                    1 => -0.0,
+                    _ => ((state >> 11) % 20_000) as f32 / 7_000.0 - 1.4,
+                }
+            })
+            .collect();
+        Matrix::from_vec(rows, cols, data)
+    }
+
+    fn assert_bits_eq(got: &Matrix, want: &Matrix, what: &str) {
+        assert_eq!(got.shape(), want.shape(), "{what}: shape");
+        for (e, (x, y)) in got.as_slice().iter().zip(want.as_slice()).enumerate() {
+            assert_eq!(x.to_bits(), y.to_bits(), "{what}: entry {e}: {x} vs {y}");
+        }
+    }
+
+    #[test]
+    fn blocked_kernels_match_naive_loops_bitwise() {
+        let shapes = [
+            (1, 1, 1),
+            (3, 5, 1),
+            (1, 7, 2),
+            (7, 13, 17),
+            (16, 16, 16),
+            (5, 3, 33),
+            (4, 0, 3),
+            (9, 31, 47),
+            (128, 64, 16),
+        ];
+        for (s, &(m, k, n)) in shapes.iter().enumerate() {
+            let seed = 10 * s as u64;
+            let a = odd_matrix(m, k, seed + 1);
+            let b = odd_matrix(k, n, seed + 2);
+            let what = format!("matmul [{m},{k}]@[{k},{n}]");
+            let want = naive_ipj(m, k, &b, |i, p| a.data[i * k + p]);
+            assert_bits_eq(&a.matmul(&b), &want, &what);
+
+            let at = odd_matrix(k, m, seed + 3);
+            let what = format!("matmul_ta [{k},{m}]ᵀ@[{k},{n}]");
+            let want = naive_ipj(m, k, &b, |i, p| at.data[p * m + i]);
+            assert_bits_eq(&at.matmul_ta(&b), &want, &what);
+
+            let bt = odd_matrix(n, k, seed + 4);
+            let what = format!("matmul_tb [{m},{k}]·[{n},{k}]ᵀ");
+            assert_bits_eq(&a.matmul_tb(&bt), &naive_matmul_tb(&a, &bt), &what);
+        }
+    }
+
+    #[test]
+    fn gather_cols_copies_requested_columns() {
+        let m = Matrix::from_vec(2, 3, vec![1., 2., 3., 4., 5., 6.]);
+        let g = m.gather_cols(&[2, 0, 2]);
+        assert_eq!(g.shape(), (2, 3));
+        assert_eq!(g.as_slice(), &[3., 1., 3., 6., 4., 6.]);
+        assert_eq!(m.gather_cols(&[]).shape(), (2, 0));
+    }
+
+    #[test]
+    #[should_panic(expected = "gather column out of range")]
+    fn gather_cols_out_of_range_panics() {
+        Matrix::zeros(2, 3).gather_cols(&[3]);
     }
 
     #[test]

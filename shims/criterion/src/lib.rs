@@ -4,10 +4,11 @@
 //! `criterion_group!` / `criterion_main!` macros (`harness = false`).
 //!
 //! The build environment cannot reach crates.io, so instead of criterion's
-//! statistical machinery this harness runs a short warm-up, then measures
-//! a capped batch of iterations and reports mean wall-clock per iteration.
-//! Good enough to spot order-of-magnitude regressions and to keep
-//! `cargo bench` runnable; not a statistics engine.
+//! statistical machinery this harness runs a short warm-up, then times a
+//! capped number of iterations one by one and reports the mean, median
+//! and min–max spread of the wall-clock time per iteration. Good enough to
+//! spot regressions beyond the printed spread and to keep `cargo bench`
+//! runnable; not a statistics engine.
 
 use std::fmt::Display;
 use std::time::{Duration, Instant};
@@ -65,30 +66,57 @@ impl From<String> for BenchmarkId {
 /// Timing loop handle passed to benchmark closures.
 pub struct Bencher {
     iters: u64,
-    elapsed: Duration,
+    /// Wall-clock time of each timed call.
+    times: Vec<Duration>,
 }
 
 impl Bencher {
-    /// Times `iters` calls of `routine`, guarding results with
+    fn new(iters: u64) -> Self {
+        Bencher {
+            iters,
+            times: Vec::with_capacity(iters as usize),
+        }
+    }
+
+    /// Times `iters` calls of `routine` one by one, guarding results with
     /// [`black_box`] so the work is not optimized away.
     pub fn iter<O, R: FnMut() -> O>(&mut self, mut routine: R) {
-        let start = Instant::now();
+        self.times.clear();
         for _ in 0..self.iters {
+            let start = Instant::now();
             black_box(routine());
+            self.times.push(start.elapsed());
         }
-        self.elapsed = start.elapsed();
     }
+}
+
+/// Mean, median, min and max of per-iteration times, in microseconds.
+fn summarize(times: &[Duration]) -> [f64; 4] {
+    let mut us: Vec<f64> = times.iter().map(|t| t.as_secs_f64() * 1e6).collect();
+    if us.is_empty() {
+        return [0.0; 4];
+    }
+    us.sort_by(f64::total_cmp);
+    let mid = us.len() / 2;
+    let median = if us.len() % 2 == 1 {
+        us[mid]
+    } else {
+        (us[mid - 1] + us[mid]) / 2.0
+    };
+    let mean = us.iter().sum::<f64>() / us.len() as f64;
+    [mean, median, us[0], us[us.len() - 1]]
 }
 
 fn run_one<F: FnMut(&mut Bencher)>(label: &str, sample_size: usize, f: &mut F) {
     // One warm-up call also tells us how expensive an iteration is, so the
     // measured batch can be capped to keep full `cargo bench` runs short.
-    let mut b = Bencher {
-        iters: 1,
-        elapsed: Duration::ZERO,
-    };
+    let mut b = Bencher::new(1);
     f(&mut b);
-    let per_iter = b.elapsed.max(Duration::from_nanos(1));
+    let per_iter = b
+        .times
+        .iter()
+        .sum::<Duration>()
+        .max(Duration::from_nanos(1));
     // RESPECT_BENCH_BUDGET_MS caps the measured batch per benchmark
     // (default 200 ms); CI smoke runs set it low so benches stay honest
     // without stalling the pipeline.
@@ -99,15 +127,12 @@ fn run_one<F: FnMut(&mut Bencher)>(label: &str, sample_size: usize, f: &mut F) {
     let budget = Duration::from_millis(budget_ms);
     let iters = (budget.as_nanos() / per_iter.as_nanos()).clamp(1, sample_size as u128) as u64;
 
-    let mut b = Bencher {
-        iters,
-        elapsed: Duration::ZERO,
-    };
+    let mut b = Bencher::new(iters);
     f(&mut b);
-    let mean = b.elapsed.as_secs_f64() / iters as f64;
+    let [mean, median, min, max] = summarize(&b.times);
     println!(
-        "bench: {label:<50} {:>12.3} µs/iter (n={iters})",
-        mean * 1e6
+        "bench: {label:<50} {mean:>12.3} µs/iter (n={iters}, median {median:.3}, \
+         min–max {min:.3}–{max:.3})"
     );
 }
 
@@ -223,6 +248,26 @@ mod tests {
             ran = true;
         });
         assert!(ran);
+    }
+
+    #[test]
+    fn summarize_reports_mean_median_and_spread() {
+        let us = |v: &[u64]| {
+            v.iter()
+                .map(|&x| Duration::from_micros(x))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(summarize(&us(&[4, 1, 10])), [5.0, 4.0, 1.0, 10.0]);
+        assert_eq!(summarize(&us(&[3, 1, 2, 6])), [3.0, 2.5, 1.0, 6.0]);
+        assert_eq!(summarize(&[]), [0.0; 4]);
+    }
+
+    #[test]
+    fn bencher_times_every_iteration() {
+        let mut b = Bencher::new(5);
+        let mut calls = 0;
+        b.iter(|| calls += 1);
+        assert_eq!((calls, b.times.len()), (5, 5));
     }
 
     #[test]

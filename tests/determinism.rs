@@ -6,7 +6,8 @@
 //! produce byte-identical parameters and, downstream, identical schedules
 //! on a fixed synthetic DAG.
 
-use respect::core::{train_policy, RespectScheduler, TrainConfig};
+use respect::core::dataset::DatasetConfig;
+use respect::core::{train_policy, Baseline, PolicyConfig, RespectScheduler, TrainConfig};
 use respect::graph::{SyntheticConfig, SyntheticSampler};
 use respect::sched::Scheduler as _;
 
@@ -44,5 +45,51 @@ fn different_seeds_are_actually_different() {
         a.params(),
         b.params(),
         "changing the seed must change the trained weights"
+    );
+}
+
+/// FNV-1a over every parameter's name and the bits of its entries, in
+/// the policy's parameter order.
+fn weight_digest(policy: &respect::core::PtrNetPolicy) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    let mut eat = |bytes: &[u8]| {
+        for &b in bytes {
+            h = (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+        }
+    };
+    for (name, m) in policy.params().iter() {
+        eat(name.as_bytes());
+        for x in m.as_slice() {
+            eat(&x.to_bits().to_le_bytes());
+        }
+    }
+    h
+}
+
+#[test]
+fn trained_weights_match_golden_digest() {
+    // The offline-zoo training shape at test scale: self-critic baseline,
+    // 16-graph batches of 20-node graphs, two epochs. Any change to the
+    // rollout tape, its backward pass or the matmul kernels that moves a
+    // single bit of a gradient moves this digest. So would a libm whose
+    // `exp`, `ln` or `tanh` rounds differently.
+    let mut cfg = TrainConfig::smoke_test();
+    cfg.policy = PolicyConfig::small(16);
+    cfg.dataset = DatasetConfig {
+        graphs: 32,
+        num_nodes: 20,
+        degrees: vec![2, 3, 4, 5, 6],
+        num_stages: 4,
+        seed: 0xda7a,
+    };
+    cfg.baseline = Baseline::GreedyRollout;
+    cfg.batch_size = 16;
+    cfg.epochs = 2;
+    cfg.learning_rate = 1e-3;
+    let policy = train_policy(&cfg).expect("training");
+    assert_eq!(
+        weight_digest(&policy),
+        0x0604_24dc_9ad6_9366,
+        "trained weights moved"
     );
 }
