@@ -160,7 +160,10 @@ pub struct FleetConfig {
     /// [`TenantServeReport::completions`].
     pub record_completions: bool,
     /// Pending-event set implementation — switches speed, never
-    /// results.
+    /// results. The default calendar queue serves a small fleet's few
+    /// pending events from a sorted array and a large fleet's per-tenant
+    /// timers from its ring (see [`respect_tpu::sim::SimConfig::queue`]);
+    /// the heap stays as the differential oracle.
     pub queue: QueueKind,
 }
 

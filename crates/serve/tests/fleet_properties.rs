@@ -16,6 +16,9 @@
 //!   pinned against an exact replay of the router's RNG stream;
 //! * **Determinism**: a fixed seed reproduces the full fleet report
 //!   bitwise, heterogeneous chains and autoscaling included;
+//! * **Queue independence**: the seed binary heap and the production
+//!   calendar queue give the same fleet report and probe stream, on a
+//!   fleet whose pending set crosses the calendar's switch points;
 //! * **Autoscale accounting**: scale decisions move the active count by
 //!   one, chain 0 stays powered for the whole makespan, and chains that
 //!   were never activated consume zero energy.
@@ -28,6 +31,7 @@ use respect_serve::{
     serve_fleet, serve_fleet_probed, serve_probed, AdmissionPolicy, AutoscalePolicy, BatchPolicy,
     FleetConfig, RouterPolicy, ServeConfig, ServeError, ServeTenant,
 };
+use respect_tpu::event_queue::QueueKind;
 use respect_tpu::probe::{Probe, ProbeEvent};
 use respect_tpu::sim::{self, Arrivals};
 use respect_tpu::{CompiledPipeline, DeviceSpec, Segment};
@@ -271,6 +275,57 @@ proptest! {
         let a = serve_fleet(&[tenant()], &cfg).unwrap();
         let b = serve_fleet(&[tenant()], &cfg).unwrap();
         prop_assert_eq!(a, b);
+    }
+}
+
+#[test]
+fn heap_and_production_queues_serve_bitwise_identical_fleets() {
+    // 40 open-loop tenants keep one arrival timer each pending, so the
+    // pending set holds more than the calendar's 32-entry array and runs
+    // on its ring; tenants run out of requests at different times, so
+    // the set drains back through the array's 8-entry switch point at
+    // the end of the run.
+    for seed in [3u64, 0xfee7, 0x5eed_0016] {
+        let p = random_pipeline(3, seed);
+        let spec = DeviceSpec::coral();
+        let hold = max_hold(&p, &spec);
+        let n_tenants = 40;
+        let tenants: Vec<ServeTenant> = (0..n_tenants)
+            .map(|w| {
+                ServeTenant::new(p.clone(), 20 + 2 * w)
+                    .with_arrivals(Arrivals::Poisson {
+                        rate: 3.0 * 0.8 / hold / n_tenants as f64,
+                        seed: seed ^ w as u64,
+                    })
+                    .with_batcher(BatchPolicy::new(4, 2.0 * hold))
+                    .with_warmup(2)
+            })
+            .collect();
+        let cfg = FleetConfig::homogeneous(3, spec)
+            .with_router(RouterPolicy::JoinShortestBacklog)
+            .with_autoscale(
+                AutoscalePolicy::new()
+                    .with_min_chains(1)
+                    .with_scale_up_s(4.0 * hold)
+                    .with_scale_down_s(0.5 * hold)
+                    .with_check_jobs(8),
+            )
+            .with_contended_bus()
+            .with_completions();
+        let run = |queue| {
+            let mut probe = Recorder::default();
+            let report = serve_fleet_probed(&tenants, &cfg.clone().with_queue(queue), &mut probe)
+                .expect("valid fleet");
+            (report, probe.bits())
+        };
+        let (heap, heap_probe) = run(QueueKind::BinaryHeap);
+        let (calendar, calendar_probe) = run(QueueKind::default());
+        assert!(heap.chains.len() >= 2 && !heap.scale_events.is_empty());
+        assert_eq!(heap_probe, calendar_probe, "seed {seed:#x}: probe streams");
+        assert_eq!(heap, calendar, "seed {seed:#x}: fleet reports");
+        // `Debug` prints every float round-trip exact, so equal text is
+        // equal bits (`==` alone would equate 0.0 and -0.0)
+        assert_eq!(format!("{heap:?}"), format!("{calendar:?}"));
     }
 }
 

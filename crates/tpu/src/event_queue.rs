@@ -11,18 +11,35 @@
 //! * [`BinaryHeapQueue`] — the seed implementation, a
 //!   `BinaryHeap<Reverse<_>>`. `O(log n)` per operation with `~2 log n`
 //!   entry moves per pop.
-//! * [`CalendarQueue`] — a calendar queue (Brown 1988): time is divided
-//!   into fixed-width *years* mapped onto a power-of-two ring of
-//!   buckets; a cursor walks the ring popping the current year's
-//!   events. DES time advances almost monotonically, so pushes append
-//!   at bucket tails and pops peel from bucket heads — amortized
-//!   `O(1)` each, and the entries of the near future stay hot in
-//!   cache.
+//! * [`CalendarQueue`] — the production queue. Up to 32 live events
+//!   sit in one sorted array (a push is a binary search and a short
+//!   `memmove`, a pop is `Vec::pop`); past that the queue switches to a
+//!   calendar queue (Brown 1988): time is divided into fixed-width
+//!   *years* mapped onto a power-of-two ring of buckets, and a cursor
+//!   walks the ring popping the current year's events. DES time
+//!   advances almost monotonically, so pushes append at bucket tails
+//!   and pops peel from bucket heads — amortized `O(1)` each, and the
+//!   entries of the near future stay hot in cache. When the ring drains
+//!   to 8 live events they move back into the array.
 //!
-//! The two implementations are differential-tested to produce
+//! The switch points come from `examples/queue_micro.rs` (two runs in
+//! a 2-core container, ns per pop with its pushes). From 2 to 9 live
+//! events the array beats the heap on both of its stream shapes: 36–61
+//! against 42–75 ns on the DES-like one, 17–35 against 25–55 ns on the
+//! fleet-like one. From 16 to 32 the shapes disagree: the DES-like
+//! stream still favours the array over the ring (71–82 against
+//! 87–98 ns), the fleet-like one favours the ring (31–44 against
+//! 38–46 ns). The array's binary search and insert `memmove` grow with
+//! occupancy, so it hands over at 32, near the fleet-like crossover. It
+//! takes the set back at 8, where it wins on both shapes; the 4× band
+//! between the two points keeps an occupancy that hovers near either
+//! one from migrating on every operation.
+//!
+//! Both modes are differential-tested against the heap to produce
 //! *identical* pop sequences on random streams — including ties, dense
-//! same-time bursts, `+inf` timestamps, and pushes behind the cursor —
-//! in `crates/tpu/tests/event_queue_props.rs`. Engines select an
+//! same-time bursts, `+inf` timestamps, pushes behind the cursor, and
+//! occupancy that crosses both switch points many times — in
+//! `crates/tpu/tests/event_queue_props.rs`. Engines select an
 //! implementation via [`QueueKind`]; the calendar queue is the default.
 //!
 //! Timestamps must not be `NaN` (debug-asserted): a `NaN` deadline is
@@ -37,7 +54,8 @@ use std::collections::BinaryHeap;
 pub enum QueueKind {
     /// The seed `BinaryHeap<Reverse<_>>` implementation.
     BinaryHeap,
-    /// The calendar-queue implementation (default).
+    /// The production queue (default): a sorted array for up to 32
+    /// live events, a calendar ring beyond.
     #[default]
     Calendar,
 }
@@ -154,14 +172,24 @@ const GROW_PER_BUCKET: usize = 4;
 const INITIAL_WIDTH_S: f64 = 1e-4;
 /// Pops between cursor-efficiency checks.
 const CALIBRATE_POPS: u32 = 1024;
+/// Most live entries the sorted array holds: the push that would make
+/// it `SMALL_UP + 1` moves the set onto the ring.
+const SMALL_UP: usize = 32;
+/// Live entries at which a ring pop moves the set back into the
+/// sorted array. Well below [`SMALL_UP`], so an occupancy that hovers
+/// near one switch point does not migrate back and forth.
+const SMALL_DOWN: usize = 8;
 
 /// One scheduled event in the calendar. No sequence number: FIFO tie
-/// order falls out structurally. Equal times map to the same epoch and
-/// therefore the same bucket, inserts past equal-time entries keep
-/// buckets insertion-stable, and [`CalendarQueue::rebuild`] uses a
-/// stable sort — so ties always sit in push order. Keeping the entry
-/// at `16 + size_of::<K>()` bytes matters: at fleet scale the pending
-/// set outgrows L1 and queue throughput is memory-bound.
+/// order falls out structurally. In the sorted array a push lands in
+/// front of every equal-time entry, so ties pop oldest first. On the
+/// ring, equal times map to the same epoch and therefore the same
+/// bucket, inserts past equal-time entries keep buckets
+/// insertion-stable, and [`CalendarQueue::rebuild`] uses a stable sort.
+/// Both migrations move entries in pop order. So ties always sit in
+/// push order. Keeping the entry at `16 + size_of::<K>()` bytes
+/// matters: at fleet scale the pending set outgrows L1 and queue
+/// throughput is memory-bound.
 #[derive(Debug, Clone, Copy)]
 struct CalEntry<K> {
     t: f64,
@@ -194,20 +222,67 @@ impl<K> Default for Bucket<K> {
     }
 }
 
-impl<K> Bucket<K> {
+impl<K: Copy> Bucket<K> {
     #[inline]
     fn is_empty(&self) -> bool {
         // `head == len` only happens at `0 == 0`: draining pops reset
         // the bucket as soon as the last entry leaves
         self.head == self.items.len()
     }
+
+    /// Drops the popped prefix when `items` is full and at least half
+    /// of it is popped, so the next insert reuses those slots instead
+    /// of growing the allocation. A bucket that never drains (pushes
+    /// keep landing in it while it is being popped) would otherwise
+    /// keep every entry it ever held. Amortized `O(1)`: the live
+    /// entries moved are at most the pushes since the last compaction,
+    /// and capacity stays below twice the bucket's peak live count.
+    #[inline]
+    fn make_room(&mut self) {
+        if self.items.len() == self.items.capacity()
+            && self.head > 0
+            && 2 * self.head >= self.items.len()
+        {
+            self.items.drain(..self.head);
+            self.head = 0;
+        }
+    }
+
+    /// Removes the front entry; the bucket must be non-empty.
+    #[inline]
+    fn pop_front(&mut self) -> CalEntry<K> {
+        let e = self.items[self.head];
+        self.head += 1;
+        if self.head == self.items.len() {
+            self.head = 0;
+            self.items.clear();
+        } else {
+            self.front_t = self.items[self.head].t;
+        }
+        e
+    }
 }
 
-/// [`EventQueue`] as a calendar queue: a power-of-two ring of buckets,
-/// each covering one fixed-width *year* of simulated time per lap of
-/// the cursor.
+/// [`EventQueue`] with two modes: a sorted array for small pending
+/// sets and a calendar queue for large ones.
 ///
-/// An entry at time `t` lives in bucket `epoch(t) & mask` where
+/// **Small mode.** Up to `SMALL_UP` (32) live entries sit in one
+/// `Vec`, sorted descending by time with the newest entry first among
+/// ties, so a pop is `Vec::pop` and a push is a binary search plus an
+/// insert. The DES engines of this workspace run a handful of tenants
+/// with 3–7 live events, where this beats both the heap and the ring.
+///
+/// **Ring mode.** The push that would make the array hold more than
+/// `SMALL_UP` entries moves them, in pop order, into the ring; a pop
+/// that finds `SMALL_DOWN` (8) or fewer entries on the ring moves them
+/// back. Both switches depend only on the live count, so the pop
+/// sequence is a function of the push/pop interleaving alone, as it is
+/// for the heap. In ring mode the array is empty, and the only cost of
+/// the small mode is one predictable branch per operation.
+///
+/// The ring is a power-of-two array of buckets, each covering one
+/// fixed-width *year* of simulated time per lap of the cursor. An entry
+/// at time `t` lives in bucket `epoch(t) & mask` where
 /// `epoch(t) = t / width` truncated, kept sorted ascending by time —
 /// in the DES workload pushes are near-monotone in time, so insertion
 /// is almost always an append. The cursor `cur_epoch` maintains the
@@ -221,15 +296,16 @@ impl<K> Bucket<K> {
 /// are legal.
 ///
 /// Epochs are recomputed from `t` wherever needed rather than stored:
-/// the width only changes inside the internal rebuild, which
-/// re-buckets every live entry under the new width, so the mapping is
-/// consistent across an entry's whole lifetime.
+/// the width only changes when the ring is refilled, which re-buckets
+/// every live entry under the new width, so the mapping is consistent
+/// across an entry's whole lifetime.
 ///
-/// The ring grows when occupancy passes a per-bucket threshold
-/// and the year width is re-estimated from the live entry spacing at
-/// every rebuild, as well as whenever the cursor spends most of its
-/// time stepping over empty buckets. All adaptation depends only on
-/// the operation sequence, preserving bitwise determinism.
+/// The ring grows when occupancy passes a per-bucket threshold, and the
+/// year width is re-estimated from the live entry spacing whenever the
+/// ring is refilled: at every growth, at every switch out of the small
+/// mode, and whenever the cursor spends most of its time stepping over
+/// empty buckets. All adaptation depends only on the operation
+/// sequence, preserving bitwise determinism.
 ///
 /// ```
 /// use respect_tpu::event_queue::{CalendarQueue, EventQueue};
@@ -243,6 +319,9 @@ impl<K> Bucket<K> {
 /// ```
 #[derive(Debug, Clone)]
 pub struct CalendarQueue<K> {
+    /// Small mode: the live entries, descending by time, newest first
+    /// among ties. Empty in ring mode.
+    small: Vec<CalEntry<K>>,
     buckets: Vec<Bucket<K>>,
     /// `buckets.len() - 1` (power-of-two ring).
     mask: u64,
@@ -253,6 +332,8 @@ pub struct CalendarQueue<K> {
     inv_width: f64,
     /// The cursor: no live entry has `epoch < cur_epoch`.
     cur_epoch: u64,
+    /// Live entries on the ring; `0` exactly in small mode (a ring pop
+    /// hands the set back to the array before it empties).
     len: usize,
     /// Live entries at which the next push triggers a ring growth.
     grow_at: usize,
@@ -265,6 +346,7 @@ pub struct CalendarQueue<K> {
 impl<K> Default for CalendarQueue<K> {
     fn default() -> Self {
         CalendarQueue {
+            small: Vec::new(),
             buckets: (0..MIN_BUCKETS).map(|_| Bucket::default()).collect(),
             mask: (MIN_BUCKETS - 1) as u64,
             width: INITIAL_WIDTH_S,
@@ -299,6 +381,7 @@ impl<K: Copy> CalendarQueue<K> {
             self.cur_epoch = epoch;
         }
         let b = &mut self.buckets[(epoch & self.mask) as usize];
+        b.make_room();
         match b.items.last() {
             // strictly-later tail: sort the entry in; on a time tie the
             // new entry appends AFTER the tail, keeping FIFO order
@@ -320,13 +403,9 @@ impl<K: Copy> CalendarQueue<K> {
         self.len += 1;
     }
 
-    /// Rebuilds the ring with `target_buckets` buckets (clamped and
-    /// rounded to a power of two), re-estimating the year width from
-    /// the live entry spacing.
+    /// Rebuilds the ring with `target_buckets` buckets, re-estimating
+    /// the year width from the live entry spacing.
     fn rebuild(&mut self, target_buckets: usize) {
-        let n = target_buckets
-            .clamp(MIN_BUCKETS, MAX_BUCKETS)
-            .next_power_of_two();
         let mut live: Vec<CalEntry<K>> = Vec::with_capacity(self.len);
         for b in &mut self.buckets {
             live.extend(b.items.drain(b.head..));
@@ -336,7 +415,18 @@ impl<K: Copy> CalendarQueue<K> {
         // stable: time ties stay in collection order, which is their
         // push order (ties always share one bucket)
         live.sort_by(|a, b| a.t.total_cmp(&b.t));
-        if let Some(w) = estimate_width(&live) {
+        self.refill(target_buckets, &mut live);
+    }
+
+    /// Moves `live` — ascending by time, ties in push order — onto the
+    /// empty ring, resized to `target_buckets` buckets (clamped and
+    /// rounded to a power of two), with the year width re-estimated
+    /// from the entry spacing. Leaves `live` empty.
+    fn refill(&mut self, target_buckets: usize, live: &mut Vec<CalEntry<K>>) {
+        let n = target_buckets
+            .clamp(MIN_BUCKETS, MAX_BUCKETS)
+            .next_power_of_two();
+        if let Some(w) = estimate_width(live) {
             self.width = w;
             self.inv_width = 1.0 / w;
         }
@@ -346,18 +436,37 @@ impl<K: Copy> CalendarQueue<K> {
         }
         self.grow_at = n * GROW_PER_BUCKET;
         self.len = 0;
-        self.cur_epoch = 0;
-        for e in live {
+        // epochs are monotone in time: the first entry's is the least
+        self.cur_epoch = live.first().map_or(0, |e| self.epoch_of(e.t));
+        for e in live.drain(..) {
             // ascending time order makes every re-insert an append
             self.push_entry(e);
         }
-        self.cur_epoch = self
-            .buckets
-            .iter()
-            .filter(|b| !b.is_empty())
-            .map(|b| self.epoch_of(b.front_t))
-            .min()
-            .unwrap_or(0);
+    }
+
+    /// Small → ring: moves the full array onto a minimum-size ring.
+    #[cold]
+    #[inline(never)]
+    fn grow_into_ring(&mut self) {
+        let mut live = std::mem::take(&mut self.small);
+        // descending, newest first on ties → ascending, push order
+        live.reverse();
+        self.refill(MIN_BUCKETS, &mut live);
+        // keep the array's allocation for the way back
+        self.small = live;
+    }
+
+    /// Ring → small: pops the remaining ring entries into the array.
+    #[cold]
+    #[inline(never)]
+    fn shrink_into_small(&mut self) {
+        while self.len > 0 {
+            let e = self.ring_pop();
+            self.small.push(e);
+        }
+        // pop order is ascending, oldest first on ties: reversed, it is
+        // the array's order
+        self.small.reverse();
     }
 
     /// Pops the head of the bucket holding the globally earliest entry
@@ -365,7 +474,7 @@ impl<K: Copy> CalendarQueue<K> {
     /// for long empty stretches of simulated time. No cross-bucket time
     /// tie exists (equal times share a bucket), so comparing bucket
     /// heads by time alone finds a unique minimum.
-    fn pop_earliest(&mut self) -> (f64, K) {
+    fn pop_earliest(&mut self) -> CalEntry<K> {
         let idx = self
             .buckets
             .iter()
@@ -374,18 +483,49 @@ impl<K: Copy> CalendarQueue<K> {
             .min_by(|(_, a), (_, b)| a.front_t.total_cmp(&b.front_t))
             .map(|(i, _)| i)
             .expect("pop_earliest on non-empty queue");
-        let b = &mut self.buckets[idx];
-        let e = b.items[b.head];
-        b.head += 1;
-        if b.head == b.items.len() {
-            b.head = 0;
-            b.items.clear();
-        } else {
-            b.front_t = b.items[b.head].t;
-        }
+        let e = self.buckets[idx].pop_front();
         self.cur_epoch = self.epoch_of(e.t);
         self.len -= 1;
-        (e.t, e.kind)
+        e
+    }
+
+    /// Pops the earliest ring entry; the ring must be non-empty.
+    #[inline]
+    fn ring_pop(&mut self) -> CalEntry<K> {
+        let mut steps = 0u32;
+        let inv_width = self.inv_width;
+        let out = loop {
+            if steps as usize > self.buckets.len() {
+                // a full fruitless lap: jump straight to the earliest
+                break self.pop_earliest();
+            }
+            let idx = (self.cur_epoch & self.mask) as usize;
+            let b = &mut self.buckets[idx];
+            if !b.is_empty() && epoch_for(inv_width, b.front_t) <= self.cur_epoch {
+                self.len -= 1;
+                break b.pop_front();
+            }
+            self.cur_epoch = self.cur_epoch.saturating_add(1);
+            steps += 1;
+        };
+        self.pops_tick += 1;
+        self.steps_tick = self.steps_tick.saturating_add(steps);
+        if self.pops_tick >= CALIBRATE_POPS {
+            // cursor mostly stepping over empty buckets: years are too
+            // narrow for the live event density — re-estimate the width
+            if self.steps_tick > 4 * CALIBRATE_POPS && self.len >= 2 {
+                self.rebuild(self.buckets.len());
+            }
+            self.pops_tick = 0;
+            self.steps_tick = 0;
+        }
+        out
+    }
+
+    /// Total `Vec` capacity held by the ring's buckets, in entries.
+    #[cfg(test)]
+    fn bucket_capacity(&self) -> usize {
+        self.buckets.iter().map(|b| b.items.capacity()).sum()
     }
 }
 
@@ -440,57 +580,39 @@ impl<K: Copy> EventQueue<K> for CalendarQueue<K> {
     #[inline]
     fn push(&mut self, t: f64, kind: K) {
         debug_assert!(!t.is_nan(), "event time must not be NaN");
-        if self.len >= self.grow_at && self.buckets.len() < MAX_BUCKETS {
+        let e = CalEntry { t, kind };
+        if self.len == 0 {
+            if self.small.len() < SMALL_UP {
+                // after every later entry, before every entry at or
+                // before `t`: descending, with the newest tie first
+                let pos = self
+                    .small
+                    .partition_point(|x| x.t.total_cmp(&t) == Ordering::Greater);
+                self.small.insert(pos, e);
+                return;
+            }
+            self.grow_into_ring();
+        } else if self.len >= self.grow_at && self.buckets.len() < MAX_BUCKETS {
             self.rebuild(self.buckets.len() * 2);
         }
-        self.push_entry(CalEntry { t, kind });
+        self.push_entry(e);
     }
 
     #[inline]
     fn pop(&mut self) -> Option<(f64, K)> {
-        if self.len == 0 {
-            return None;
-        }
-        let mut steps = 0u32;
-        let inv_width = self.inv_width;
-        let out = loop {
-            if steps as usize > self.buckets.len() {
-                // a full fruitless lap: jump straight to the earliest
-                break self.pop_earliest();
+        let e = if self.len <= SMALL_DOWN {
+            if self.len > 0 {
+                self.shrink_into_small();
             }
-            let idx = (self.cur_epoch & self.mask) as usize;
-            let b = &mut self.buckets[idx];
-            if !b.is_empty() && epoch_for(inv_width, b.front_t) <= self.cur_epoch {
-                let e = b.items[b.head];
-                b.head += 1;
-                if b.head == b.items.len() {
-                    b.head = 0;
-                    b.items.clear();
-                } else {
-                    b.front_t = b.items[b.head].t;
-                }
-                self.len -= 1;
-                break (e.t, e.kind);
-            }
-            self.cur_epoch = self.cur_epoch.saturating_add(1);
-            steps += 1;
+            self.small.pop()?
+        } else {
+            self.ring_pop()
         };
-        self.pops_tick += 1;
-        self.steps_tick = self.steps_tick.saturating_add(steps);
-        if self.pops_tick >= CALIBRATE_POPS {
-            // cursor mostly stepping over empty buckets: years are too
-            // narrow for the live event density — re-estimate the width
-            if self.steps_tick > 4 * CALIBRATE_POPS && self.len >= 2 {
-                self.rebuild(self.buckets.len());
-            }
-            self.pops_tick = 0;
-            self.steps_tick = 0;
-        }
-        Some(out)
+        Some((e.t, e.kind))
     }
 
     fn len(&self) -> usize {
-        self.len
+        self.len + self.small.len()
     }
 }
 
@@ -616,6 +738,36 @@ mod tests {
             })
             .collect();
         differential(ops.iter().copied());
+    }
+
+    #[test]
+    fn undrained_bucket_keeps_capacity_proportional_to_live() {
+        // more live entries than the array holds, so the set is on the
+        // ring; every push lands at t = 0, the bucket being popped, so
+        // that bucket never empties
+        const LIVE: usize = 3 * SMALL_UP;
+        let mut heap = BinaryHeapQueue::default();
+        let mut cal = CalendarQueue::default();
+        for tag in 0..LIVE as u64 {
+            let t = if tag % 2 == 0 { 0.0 } else { 1.0 + tag as f64 };
+            heap.push(t, tag);
+            cal.push(t, tag);
+        }
+        for tag in LIVE as u64..200_000 {
+            let (a, b) = (heap.pop(), cal.pop());
+            assert_eq!(
+                a.map(|(t, k)| (t.to_bits(), k)),
+                b.map(|(t, k)| (t.to_bits(), k))
+            );
+            heap.push(0.0, tag);
+            cal.push(0.0, tag);
+            assert!(
+                cal.bucket_capacity() <= 4 * LIVE + 4 * MIN_BUCKETS,
+                "bucket capacity {} for {LIVE} live entries",
+                cal.bucket_capacity()
+            );
+        }
+        assert_eq!(heap.len(), cal.len());
     }
 
     #[test]
